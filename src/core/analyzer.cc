@@ -197,6 +197,8 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
                                  std::vector<Diagnostic> initial) {
   AnalysisReport report;
   report.findings_ = std::move(initial);
+  // Every phase below shares one regex algebra memo; it is freed on return.
+  regex::AlgebraScope algebra;
 
   obs::Tracer* tracer = options_.obs.tracer;
   obs::Registry* metrics = options_.obs.metrics;
@@ -365,6 +367,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
 
   if (metrics != nullptr) {
     report.engine_stats_.PublishTo(metrics);
+    algebra.stats().PublishTo(metrics);
     metrics->counter("analyzer.runs")->Add(1);
     metrics->counter("analyzer.findings")->Add(static_cast<int64_t>(report.findings_.size()));
     // Hot-path gauges are process-wide (interner and pattern cache are

@@ -37,13 +37,15 @@ class ByteClasses {
   int ClassOf(unsigned char c) const { return class_of_[c]; }
   int NumClasses() const { return num_classes_; }
 
-  // A representative byte for each class.
-  unsigned char Representative(int cls) const;
+  // A representative byte for each class: its smallest member.
+  unsigned char Representative(int cls) const { return representative_[static_cast<size_t>(cls)]; }
 
  private:
-  void Renumber();
+  // Recomputes representative_ from class_of_.
+  void FindRepresentatives();
 
   std::array<int16_t, 256> class_of_;
+  std::array<unsigned char, 256> representative_{};
   int num_classes_ = 1;
 };
 

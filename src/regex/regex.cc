@@ -3,9 +3,11 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/lockprobe.h"
+#include "obs/metrics.h"
 #include "regex/parser.h"
 #include "util/hash.h"
 
@@ -225,7 +227,10 @@ void PatternCache::Clear() {
 
 // Cache hook for glob.cc (not part of the public header).
 std::optional<Regex> PatternCacheLookupGlob(std::string_view pattern) {
-  return PatternCacheLookup('g', pattern);
+  if (std::optional<Regex> cached = PatternCacheLookup('g', pattern)) {
+    return Regex::Shared(std::move(*cached));
+  }
+  return std::nullopt;
 }
 void PatternCacheStoreGlob(std::string_view pattern, const Regex& regex) {
   PatternCacheStore('g', pattern, regex);
@@ -237,17 +242,141 @@ struct Regex::LazyDfa {
   std::optional<Dfa> direct;   // Set when constructed from a DFA.
 };
 
+// The memo behind AlgebraScope: one per thread, alive while a scope is open.
+struct Regex::Memo {
+  enum Op : int { kIntersect, kUnion, kConcat, kComplement, kStar, kIncludedIn };
+
+  struct Key {
+    int op;
+    const LazyDfa* a;
+    const Node* a_ast;
+    const LazyDfa* b;
+    const Node* b_ast;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      uint64_t h = static_cast<uint64_t>(k.op);
+      for (const void* p : {static_cast<const void*>(k.a), static_cast<const void*>(k.a_ast),
+                            static_cast<const void*>(k.b), static_cast<const void*>(k.b_ast)}) {
+        h = util::HashFinalize(h ^ reinterpret_cast<uintptr_t>(p));
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+  // Holds the operands so no other object can take their addresses while
+  // the entry lives.
+  struct Entry {
+    Regex a;
+    std::optional<Regex> b;
+    std::optional<Regex> result;
+    bool included = false;
+  };
+
+  int depth = 0;  // Open AlgebraScopes on this thread.
+  AlgebraScope::Stats stats;
+  // AST-backed languages by display pattern.
+  std::unordered_map<std::string, std::shared_ptr<LazyDfa>> by_pattern;
+  std::unordered_map<std::string, Regex> literals;
+  std::unordered_map<Key, Entry, KeyHash> ops;
+
+  Key KeyFor(int op, const Regex& a, const Regex* b, bool by_ast) const {
+    return Key{op, a.lazy_.get(), by_ast ? a.ast_.get() : nullptr,
+               b != nullptr ? b->lazy_.get() : nullptr,
+               b != nullptr && by_ast ? b->ast_.get() : nullptr};
+  }
+
+  // The entry for `key`, or null (counting the probe either way).
+  Entry* Find(const Key& key) {
+    auto it = ops.find(key);
+    if (it == ops.end()) {
+      ++stats.misses;
+      return nullptr;
+    }
+    ++stats.hits;
+    return &it->second;
+  }
+};
+
+Regex::Memo*& Regex::CurrentMemo() {
+  static thread_local Memo* memo = nullptr;
+  return memo;
+}
+
+AlgebraScope::AlgebraScope() {
+  Regex::Memo*& memo = Regex::CurrentMemo();
+  if (memo == nullptr) {
+    memo = new Regex::Memo();
+  }
+  ++memo->depth;
+}
+
+AlgebraScope::~AlgebraScope() {
+  Regex::Memo*& memo = Regex::CurrentMemo();
+  if (--memo->depth == 0) {
+    delete memo;
+    memo = nullptr;
+  }
+}
+
+AlgebraScope::Stats AlgebraScope::stats() const { return Regex::CurrentMemo()->stats; }
+
+void AlgebraScope::Stats::PublishTo(obs::Registry* registry) const {
+  if (registry == nullptr) {
+    return;
+  }
+  registry->counter("regex.memo.hits")->Add(static_cast<int64_t>(hits));
+  registry->counter("regex.memo.misses")->Add(static_cast<int64_t>(misses));
+  registry->gauge("regex.memo.languages")->Max(static_cast<int64_t>(languages));
+}
+
 Regex::Regex(std::string pattern, NodePtr ast)
     : pattern_(std::move(pattern)), ast_(std::move(ast)), lazy_(std::make_shared<LazyDfa>()) {}
 
 Regex::Regex(std::string pattern, Dfa dfa)
     : pattern_(std::move(pattern)), lazy_(std::make_shared<LazyDfa>()) {
   lazy_->direct = std::move(dfa);
+  if (Memo* memo = CurrentMemo()) {
+    ++memo->stats.languages;
+  }
+}
+
+Regex Regex::Shared(Regex regex) {
+  Memo* memo = CurrentMemo();
+  if (memo == nullptr) {
+    return regex;
+  }
+  auto [it, inserted] = memo->by_pattern.try_emplace(regex.pattern_, regex.lazy_);
+  if (inserted) {
+    ++memo->stats.misses;
+    ++memo->stats.languages;
+  } else {
+    ++memo->stats.hits;
+    regex.lazy_ = it->second;
+  }
+  return regex;
+}
+
+template <typename Compute>
+Regex Regex::Memoized(int op, const Regex* other, bool by_ast, Compute&& compute) const {
+  Memo* memo = CurrentMemo();
+  if (memo == nullptr) {
+    return compute();
+  }
+  Memo::Key key = memo->KeyFor(op, *this, other, by_ast);
+  if (Memo::Entry* hit = memo->Find(key)) {
+    return *hit->result;
+  }
+  Regex result = compute();
+  memo->ops.emplace(key, Memo::Entry{*this, other != nullptr ? std::optional<Regex>(*other)
+                                                              : std::nullopt,
+                                     result});
+  return result;
 }
 
 std::optional<Regex> Regex::FromPattern(std::string_view pattern, std::string* error_out) {
   if (std::optional<Regex> cached = PatternCacheLookup('p', pattern)) {
-    return cached;
+    return Shared(std::move(*cached));
   }
   ParseResult result = ParsePattern(pattern);
   if (!result.ok()) {
@@ -257,14 +386,14 @@ std::optional<Regex> Regex::FromPattern(std::string_view pattern, std::string* e
     }
     return std::nullopt;  // Errors are not cached (rare, and carry messages).
   }
-  Regex regex(std::string(pattern), std::move(result.node));
+  Regex regex = Shared(Regex(std::string(pattern), std::move(result.node)));
   PatternCacheStore('p', pattern, regex);
   return regex;
 }
 
 std::optional<Regex> Regex::FromSearchPattern(std::string_view pattern, std::string* error_out) {
   if (std::optional<Regex> cached = PatternCacheLookup('s', pattern)) {
-    return cached;
+    return Shared(std::move(*cached));
   }
   bool anchor_start = false;
   bool anchor_end = false;
@@ -294,29 +423,48 @@ std::optional<Regex> Regex::FromSearchPattern(std::string_view pattern, std::str
     node = MakeConcat2(std::move(node), any);
   }
   std::string display = ToPattern(node);
-  Regex regex(std::move(display), std::move(node));
+  Regex regex = Shared(Regex(std::move(display), std::move(node)));
   PatternCacheStore('s', pattern, regex);
   return regex;
 }
 
 Regex Regex::Literal(std::string_view text) {
+  Memo* memo = CurrentMemo();
+  if (memo != nullptr) {
+    auto it = memo->literals.find(std::string(text));
+    if (it != memo->literals.end()) {
+      ++memo->stats.hits;
+      return it->second;
+    }
+    ++memo->stats.misses;
+  }
   NodePtr node = MakeLiteral(text);
   std::string pattern = ToPattern(node);
-  return Regex(std::move(pattern), std::move(node));
+  Regex regex = Shared(Regex(std::move(pattern), std::move(node)));
+  if (memo != nullptr) {
+    memo->literals.emplace(std::string(text), regex);
+  }
+  return regex;
 }
 
 Regex Regex::AnyLine() {
-  NodePtr node = MakeStar(MakeChars(CharSet::AnyExceptNewline()));
-  return Regex(".*", std::move(node));
+  static const Regex kAnyLine(".*", MakeStar(MakeChars(CharSet::AnyExceptNewline())));
+  return kAnyLine;
 }
 
-Regex Regex::Nothing() { return Regex("[]", MakeEmpty()); }
+Regex Regex::Nothing() {
+  static const Regex kNothing("[]", MakeEmpty());
+  return kNothing;
+}
 
-Regex Regex::Epsilon() { return Regex("()", MakeEpsilon()); }
+Regex Regex::Epsilon() {
+  static const Regex kEpsilon("()", MakeEpsilon());
+  return kEpsilon;
+}
 
 Regex Regex::FromAst(NodePtr node) {
   std::string pattern = ToPattern(node);
-  return Regex(std::move(pattern), std::move(node));
+  return Shared(Regex(std::move(pattern), std::move(node)));
 }
 
 const Dfa& Regex::dfa() const {
@@ -330,50 +478,68 @@ const Dfa& Regex::dfa() const {
 bool Regex::Matches(std::string_view input) const { return dfa().Accepts(input); }
 
 Regex Regex::Intersect(const Regex& other) const {
-  Dfa product = dfa().Intersect(other.dfa()).Minimize();
-  std::string pattern = "(" + pattern_ + ")&(" + other.pattern_ + ")";
-  return Regex(std::move(pattern), std::move(product));
+  return Memoized(Memo::kIntersect, &other, /*by_ast=*/false, [&] {
+    Dfa product = dfa().Intersect(other.dfa()).Minimize();
+    return Regex("(" + pattern_ + ")&(" + other.pattern_ + ")", std::move(product));
+  });
 }
 
 Regex Regex::Union(const Regex& other) const {
-  if (ast_ != nullptr && other.ast_ != nullptr) {
-    NodePtr node = MakeAlt2(ast_, other.ast_);
-    return FromAst(std::move(node));
-  }
-  Dfa product = dfa().Union(other.dfa()).Minimize();
-  std::string pattern = "(" + pattern_ + ")|(" + other.pattern_ + ")";
-  return Regex(std::move(pattern), std::move(product));
+  return Memoized(Memo::kUnion, &other, /*by_ast=*/true, [&] {
+    if (ast_ != nullptr && other.ast_ != nullptr) {
+      return FromAst(MakeAlt2(ast_, other.ast_));
+    }
+    Dfa product = dfa().Union(other.dfa()).Minimize();
+    return Regex("(" + pattern_ + ")|(" + other.pattern_ + ")", std::move(product));
+  });
 }
 
 Regex Regex::Concat(const Regex& other) const {
-  if (ast_ != nullptr && other.ast_ != nullptr) {
-    return FromAst(MakeConcat2(ast_, other.ast_));
-  }
-  // At least one side exists only as an automaton (e.g. a complement); compose
-  // at the NFA level and re-determinize.
-  Nfa combined = ConcatNfa(dfa().ToNfa(), other.dfa().ToNfa());
-  Dfa result = Dfa::FromNfa(combined).Minimize();
-  return Regex("(" + pattern_ + ")(" + other.pattern_ + ")", std::move(result));
+  return Memoized(Memo::kConcat, &other, /*by_ast=*/true, [&] {
+    if (ast_ != nullptr && other.ast_ != nullptr) {
+      return FromAst(MakeConcat2(ast_, other.ast_));
+    }
+    // At least one side exists only as an automaton (e.g. a complement);
+    // compose at the NFA level and re-determinize.
+    Nfa combined = ConcatNfa(dfa().ToNfa(), other.dfa().ToNfa());
+    Dfa result = Dfa::FromNfa(combined).Minimize();
+    return Regex("(" + pattern_ + ")(" + other.pattern_ + ")", std::move(result));
+  });
 }
 
 Regex Regex::Complement() const {
-  Dfa complement = dfa().Complement().Minimize();
-  return Regex("!(" + pattern_ + ")", std::move(complement));
+  return Memoized(Memo::kComplement, nullptr, /*by_ast=*/false, [&] {
+    return Regex("!(" + pattern_ + ")", dfa().Complement().Minimize());
+  });
 }
 
 Regex Regex::Star() const {
-  if (ast_ != nullptr) {
-    return FromAst(MakeStar(ast_));
-  }
-  Dfa result = Dfa::FromNfa(StarNfa(dfa().ToNfa())).Minimize();
-  return Regex("(" + pattern_ + ")*", std::move(result));
+  return Memoized(Memo::kStar, nullptr, /*by_ast=*/true, [&] {
+    if (ast_ != nullptr) {
+      return FromAst(MakeStar(ast_));
+    }
+    Dfa result = Dfa::FromNfa(StarNfa(dfa().ToNfa())).Minimize();
+    return Regex("(" + pattern_ + ")*", std::move(result));
+  });
 }
 
 bool Regex::IsEmptyLanguage() const { return dfa().IsEmptyLanguage(); }
 
 bool Regex::IsUniversal() const { return dfa().IsUniversal(); }
 
-bool Regex::IncludedIn(const Regex& other) const { return dfa().IncludedIn(other.dfa()); }
+bool Regex::IncludedIn(const Regex& other) const {
+  Memo* memo = CurrentMemo();
+  if (memo == nullptr) {
+    return dfa().IncludedIn(other.dfa());
+  }
+  Memo::Key key = memo->KeyFor(Memo::kIncludedIn, *this, &other, /*by_ast=*/false);
+  if (Memo::Entry* hit = memo->Find(key)) {
+    return hit->included;
+  }
+  bool included = dfa().IncludedIn(other.dfa());
+  memo->ops.emplace(key, Memo::Entry{*this, other, std::nullopt, included});
+  return included;
+}
 
 bool Regex::EquivalentTo(const Regex& other) const { return dfa().EquivalentTo(other.dfa()); }
 

@@ -18,6 +18,10 @@
 #include "regex/ast.h"
 #include "regex/dfa.h"
 
+namespace sash::obs {
+class Registry;
+}  // namespace sash::obs
+
 namespace sash::regex {
 
 // Process-wide memoization of compiled patterns (FromPattern,
@@ -47,6 +51,42 @@ class PatternCache {
   static void Clear();
 };
 
+// Hash-consing and algebra memo for the lifetime of one analysis on this
+// thread. While a scope is open:
+//   - an AST-backed Regex whose display pattern was already seen shares that
+//     regex's lazily built minimal DFA;
+//   - Literal(s) is cached by s;
+//   - Intersect, Union, Concat, Complement, Star and IncludedIn are memoized,
+//     keyed on the operation and the operands' DFA identity (plus their AST
+//     identity where the result is built from the AST). Every entry holds
+//     its operands, so a key's addresses can never be reused by a different
+//     object while the entry lives.
+// A display pattern determines its language and the character classes its
+// DFA is built over, and every minimal DFA is numbered canonically, so a
+// shared or memoized result is byte-for-byte the one a direct computation
+// would produce. Scopes nest (an inner scope joins the open memo); the
+// outermost one frees the memo when it closes. Outside a scope every
+// operation computes directly.
+class AlgebraScope {
+ public:
+  struct Stats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t languages = 0;  // Distinct DFAs this scope created or adopted.
+
+    // Mirrors the counters into the registry under "regex.memo.*".
+    void PublishTo(obs::Registry* registry) const;
+  };
+
+  AlgebraScope();
+  ~AlgebraScope();
+  AlgebraScope(const AlgebraScope&) = delete;
+  AlgebraScope& operator=(const AlgebraScope&) = delete;
+
+  // Counters of the memo this scope belongs to.
+  Stats stats() const;
+};
+
 class Regex {
  public:
   // Parses an anchored (whole-string) pattern. Returns nullopt on error;
@@ -63,7 +103,8 @@ class Regex {
   // The language containing exactly `text`.
   static Regex Literal(std::string_view text);
 
-  // ".*" — every string without a newline (the `any` line type).
+  // ".*" — every string without a newline (the `any` line type). This and
+  // the two below are process-wide constants sharing one DFA.
   static Regex AnyLine();
 
   // The empty language and the empty-string language.
@@ -104,8 +145,24 @@ class Regex {
   size_t DfaStates() const { return static_cast<size_t>(dfa().NumStates()); }
 
  private:
+  friend class AlgebraScope;
+  friend std::optional<Regex> PatternCacheLookupGlob(std::string_view pattern);
+  struct Memo;
+
   Regex(std::string pattern, NodePtr ast);
   Regex(std::string pattern, Dfa dfa);
+
+  // The calling thread's open memo, or null outside every AlgebraScope.
+  static Memo*& CurrentMemo();
+
+  // Inside an AlgebraScope: `regex` (AST-backed) adopts the DFA of an
+  // earlier regex with the same display pattern, or registers its own.
+  static Regex Shared(Regex regex);
+
+  // Runs `compute` through the memo when one is open; `by_ast` adds the
+  // operands' AST identity to the key for results built from the AST.
+  template <typename Compute>
+  Regex Memoized(int op, const Regex* other, bool by_ast, Compute&& compute) const;
 
   std::string pattern_;
   NodePtr ast_;  // May be null when the language only exists as a DFA.

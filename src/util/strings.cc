@@ -153,7 +153,9 @@ bool ParseInt64(std::string_view s, int64_t* out) {
     }
     magnitude = magnitude * 10 + digit;
   }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
+  // Negate in unsigned arithmetic: for INT64_MIN the magnitude 2^63 has no
+  // positive int64_t, and negating the signed value would overflow.
+  *out = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
   return true;
 }
 

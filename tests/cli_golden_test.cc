@@ -178,6 +178,7 @@ TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {
   EXPECT_LE(r.exit_code, 1);  // The corpus has findings; only >1 is a failure.
   EXPECT_NE(r.output.find("== contention =="), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("== workers =="), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("== regex memo ==\n  hits="), std::string::npos) << r.output;
 
   // The journal must round-trip its own schema validator...
   std::string jsonl = ReadFile(journal);

@@ -375,8 +375,14 @@ TEST(Strings, ParseInt64AcceptsStrictDecimal) {
   EXPECT_EQ(v, -13);
   EXPECT_TRUE(ParseInt64("9223372036854775807", &v));  // INT64_MAX.
   EXPECT_EQ(v, INT64_MAX);
+  // INT64_MIN's magnitude has no positive int64_t; under the Sanitize
+  // preset (UBSan without recovery) a signed negation here aborts the test.
   EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));  // INT64_MIN.
   EXPECT_EQ(v, INT64_MIN);
+  EXPECT_TRUE(ParseInt64("-0009223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
+  EXPECT_TRUE(ParseInt64("-9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MIN + 1);
 }
 
 TEST(Strings, ParseInt64RejectsGarbageAndOverflow) {
@@ -395,6 +401,7 @@ TEST(Strings, ParseInt64RejectsGarbageAndOverflow) {
   EXPECT_FALSE(ParseInt64("--3", &v));
   EXPECT_FALSE(ParseInt64("9223372036854775808", &v));   // INT64_MAX + 1.
   EXPECT_FALSE(ParseInt64("-9223372036854775809", &v));  // INT64_MIN - 1.
+  EXPECT_FALSE(ParseInt64("-18446744073709551616", &v));  // -2^64.
   EXPECT_FALSE(ParseInt64("99999999999999999999", &v));
   EXPECT_EQ(v, 99);  // *out untouched on failure.
 }

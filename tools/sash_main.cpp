@@ -788,6 +788,14 @@ int CmdProfile(const std::vector<std::string>& args) {
   std::printf("profiled %zu file(s), jobs=%d\n", result.files.size(),
               batch.jobs > 0 ? batch.jobs : 0);
   std::printf("%s", sash::obs::FormatReport(summary).c_str());
+  // Each analysis has its own regex algebra memo; the counters sum them.
+  sash::obs::MetricsSnapshot metrics = registry.Snapshot();
+  const long long memo_hits = metrics.counters["regex.memo.hits"];
+  const long long memo_probes = memo_hits + metrics.counters["regex.memo.misses"];
+  std::printf("== regex memo ==\n  hits=%lld  misses=%lld  hit rate=%.1f%%  peak languages=%lld\n",
+              memo_hits, memo_probes - memo_hits,
+              memo_probes > 0 ? 100.0 * static_cast<double>(memo_hits) / memo_probes : 0.0,
+              static_cast<long long>(metrics.gauges["regex.memo.languages"]));
   std::printf("artifacts: %s, %s, %s\n", journal_out.c_str(), trace_out.c_str(),
               folded_out.c_str());
   if (!io_ok) {
