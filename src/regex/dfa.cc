@@ -10,49 +10,47 @@ namespace sash::regex {
 ByteClasses::ByteClasses() { class_of_.fill(0); }
 
 void ByteClasses::Refine(const CharSet& set) {
-  // Split every class into (class ∩ set) and (class \ set), numbering the
-  // parts in order of their smallest byte.
-  std::array<int16_t, 512> renumber;
-  renumber.fill(-1);
+  // Split every class into (class ∩ set) and (class \ set).
+  std::map<std::pair<int, bool>, int> renumber;
+  std::array<int16_t, 256> next{};
   int count = 0;
-  for (size_t c = 0; c < 256; ++c) {
-    int16_t& id = renumber[static_cast<size_t>(class_of_[c]) * 2 +
-                           (set.Contains(static_cast<unsigned char>(c)) ? 1 : 0)];
-    if (id < 0) {
-      id = static_cast<int16_t>(count++);
+  for (int c = 0; c < 256; ++c) {
+    std::pair<int, bool> key{class_of_[static_cast<size_t>(c)],
+                             set.Contains(static_cast<unsigned char>(c))};
+    auto it = renumber.find(key);
+    if (it == renumber.end()) {
+      it = renumber.emplace(key, count++).first;
     }
-    class_of_[c] = id;
+    next[static_cast<size_t>(c)] = static_cast<int16_t>(it->second);
   }
+  class_of_ = next;
   num_classes_ = count;
-  FindRepresentatives();
 }
 
 ByteClasses ByteClasses::Merge(const ByteClasses& a, const ByteClasses& b) {
   ByteClasses out;
-  std::vector<int16_t> renumber(static_cast<size_t>(a.num_classes_) * b.num_classes_, -1);
+  std::map<std::pair<int, int>, int> renumber;
   int count = 0;
-  for (size_t c = 0; c < 256; ++c) {
-    int16_t& id = renumber[static_cast<size_t>(a.class_of_[c]) * b.num_classes_ +
-                           static_cast<size_t>(b.class_of_[c])];
-    if (id < 0) {
-      id = static_cast<int16_t>(count++);
+  for (int c = 0; c < 256; ++c) {
+    std::pair<int, int> key{a.class_of_[static_cast<size_t>(c)],
+                            b.class_of_[static_cast<size_t>(c)]};
+    auto it = renumber.find(key);
+    if (it == renumber.end()) {
+      it = renumber.emplace(key, count++).first;
     }
-    out.class_of_[c] = id;
+    out.class_of_[static_cast<size_t>(c)] = static_cast<int16_t>(it->second);
   }
   out.num_classes_ = count;
-  out.FindRepresentatives();
   return out;
 }
 
-void ByteClasses::FindRepresentatives() {
-  // Classes are numbered in order of their smallest byte, so a class's
-  // representative is the byte at which it first appears.
-  int next = 0;
-  for (int c = 0; c < 256 && next < num_classes_; ++c) {
-    if (class_of_[static_cast<size_t>(c)] == next) {
-      representative_[static_cast<size_t>(next++)] = static_cast<unsigned char>(c);
+unsigned char ByteClasses::Representative(int cls) const {
+  for (int c = 0; c < 256; ++c) {
+    if (class_of_[static_cast<size_t>(c)] == cls) {
+      return static_cast<unsigned char>(c);
     }
   }
+  return 0;
 }
 
 namespace {

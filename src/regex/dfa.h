@@ -37,15 +37,13 @@ class ByteClasses {
   int ClassOf(unsigned char c) const { return class_of_[c]; }
   int NumClasses() const { return num_classes_; }
 
-  // A representative byte for each class: its smallest member.
-  unsigned char Representative(int cls) const { return representative_[static_cast<size_t>(cls)]; }
+  // A representative byte for each class.
+  unsigned char Representative(int cls) const;
 
  private:
-  // Recomputes representative_ from class_of_.
-  void FindRepresentatives();
+  void Renumber();
 
   std::array<int16_t, 256> class_of_;
-  std::array<unsigned char, 256> representative_{};
   int num_classes_ = 1;
 };
 

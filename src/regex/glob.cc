@@ -6,7 +6,8 @@ namespace sash::regex {
 
 // Memoization hooks implemented by the pattern cache in regex.cc.
 std::optional<Regex> PatternCacheLookupGlob(std::string_view pattern);
-void PatternCacheStoreGlob(std::string_view pattern, const Regex& regex);
+// Caches the language of `node` under `pattern` and returns it.
+Regex PatternCacheStoreGlob(std::string_view pattern, NodePtr node);
 
 Regex GlobLanguage(std::string_view pattern) {
   if (std::optional<Regex> cached = PatternCacheLookupGlob(pattern)) {
@@ -68,9 +69,7 @@ Regex GlobLanguage(std::string_view pattern) {
       ++i;
     }
   }
-  Regex regex = Regex::FromAst(MakeConcat(std::move(parts)));
-  PatternCacheStoreGlob(pattern, regex);
-  return regex;
+  return PatternCacheStoreGlob(pattern, MakeConcat(std::move(parts)));
 }
 
 }  // namespace sash::regex

@@ -232,8 +232,11 @@ std::optional<Regex> PatternCacheLookupGlob(std::string_view pattern) {
   }
   return std::nullopt;
 }
-void PatternCacheStoreGlob(std::string_view pattern, const Regex& regex) {
+Regex PatternCacheStoreGlob(std::string_view pattern, NodePtr node) {
+  std::string display = ToPattern(node);
+  Regex regex(std::move(display), std::move(node));
   PatternCacheStore('g', pattern, regex);
+  return Regex::Shared(std::move(regex));
 }
 
 struct Regex::LazyDfa {
@@ -341,20 +344,26 @@ Regex::Regex(std::string pattern, Dfa dfa)
   }
 }
 
-Regex Regex::Shared(Regex regex) {
+Regex Regex::Shared(Regex regex, bool count_probe) {
   Memo* memo = CurrentMemo();
   if (memo == nullptr) {
     return regex;
   }
   auto [it, inserted] = memo->by_pattern.try_emplace(regex.pattern_, regex.lazy_);
   if (inserted) {
-    ++memo->stats.misses;
     ++memo->stats.languages;
   } else {
-    ++memo->stats.hits;
     regex.lazy_ = it->second;
   }
+  if (count_probe) {
+    ++(inserted ? memo->stats.misses : memo->stats.hits);
+  }
   return regex;
+}
+
+Regex Regex::SharedFromAst(NodePtr node) {
+  std::string pattern = ToPattern(node);
+  return Shared(Regex(std::move(pattern), std::move(node)), /*count_probe=*/false);
 }
 
 template <typename Compute>
@@ -376,7 +385,7 @@ Regex Regex::Memoized(int op, const Regex* other, bool by_ast, Compute&& compute
 
 std::optional<Regex> Regex::FromPattern(std::string_view pattern, std::string* error_out) {
   if (std::optional<Regex> cached = PatternCacheLookup('p', pattern)) {
-    return Shared(std::move(*cached));
+    return cached;
   }
   ParseResult result = ParsePattern(pattern);
   if (!result.ok()) {
@@ -386,7 +395,11 @@ std::optional<Regex> Regex::FromPattern(std::string_view pattern, std::string* e
     }
     return std::nullopt;  // Errors are not cached (rare, and carry messages).
   }
-  Regex regex = Shared(Regex(std::string(pattern), std::move(result.node)));
+  // Not shared by display pattern: this one displays its source text, which
+  // can denote another language than the same text as ToPattern renders it
+  // (a negated class read here excludes newline; rendered, it need not).
+  // The pattern cache already gives each source text one DFA.
+  Regex regex(std::string(pattern), std::move(result.node));
   PatternCacheStore('p', pattern, regex);
   return regex;
 }
@@ -423,9 +436,9 @@ std::optional<Regex> Regex::FromSearchPattern(std::string_view pattern, std::str
     node = MakeConcat2(std::move(node), any);
   }
   std::string display = ToPattern(node);
-  Regex regex = Shared(Regex(std::move(display), std::move(node)));
+  Regex regex(std::move(display), std::move(node));
   PatternCacheStore('s', pattern, regex);
-  return regex;
+  return Shared(std::move(regex));
 }
 
 Regex Regex::Literal(std::string_view text) {
@@ -438,9 +451,7 @@ Regex Regex::Literal(std::string_view text) {
     }
     ++memo->stats.misses;
   }
-  NodePtr node = MakeLiteral(text);
-  std::string pattern = ToPattern(node);
-  Regex regex = Shared(Regex(std::move(pattern), std::move(node)));
+  Regex regex = SharedFromAst(MakeLiteral(text));
   if (memo != nullptr) {
     memo->literals.emplace(std::string(text), regex);
   }
@@ -487,7 +498,7 @@ Regex Regex::Intersect(const Regex& other) const {
 Regex Regex::Union(const Regex& other) const {
   return Memoized(Memo::kUnion, &other, /*by_ast=*/true, [&] {
     if (ast_ != nullptr && other.ast_ != nullptr) {
-      return FromAst(MakeAlt2(ast_, other.ast_));
+      return SharedFromAst(MakeAlt2(ast_, other.ast_));
     }
     Dfa product = dfa().Union(other.dfa()).Minimize();
     return Regex("(" + pattern_ + ")|(" + other.pattern_ + ")", std::move(product));
@@ -497,7 +508,7 @@ Regex Regex::Union(const Regex& other) const {
 Regex Regex::Concat(const Regex& other) const {
   return Memoized(Memo::kConcat, &other, /*by_ast=*/true, [&] {
     if (ast_ != nullptr && other.ast_ != nullptr) {
-      return FromAst(MakeConcat2(ast_, other.ast_));
+      return SharedFromAst(MakeConcat2(ast_, other.ast_));
     }
     // At least one side exists only as an automaton (e.g. a complement);
     // compose at the NFA level and re-determinize.
@@ -516,7 +527,7 @@ Regex Regex::Complement() const {
 Regex Regex::Star() const {
   return Memoized(Memo::kStar, nullptr, /*by_ast=*/true, [&] {
     if (ast_ != nullptr) {
-      return FromAst(MakeStar(ast_));
+      return SharedFromAst(MakeStar(ast_));
     }
     Dfa result = Dfa::FromNfa(StarNfa(dfa().ToNfa())).Minimize();
     return Regex("(" + pattern_ + ")*", std::move(result));

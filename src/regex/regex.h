@@ -53,16 +53,19 @@ class PatternCache {
 
 // Hash-consing and algebra memo for the lifetime of one analysis on this
 // thread. While a scope is open:
-//   - an AST-backed Regex whose display pattern was already seen shares that
-//     regex's lazily built minimal DFA;
+//   - an AST-backed Regex whose display pattern (its ToPattern rendering)
+//     was already seen shares that regex's lazily built minimal DFA.
+//     FromPattern results display their source text instead and do not
+//     join; the pattern cache, which never holds a shared DFA, already
+//     gives each source text one DFA;
 //   - Literal(s) is cached by s;
 //   - Intersect, Union, Concat, Complement, Star and IncludedIn are memoized,
 //     keyed on the operation and the operands' DFA identity (plus their AST
 //     identity where the result is built from the AST). Every entry holds
 //     its operands, so a key's addresses can never be reused by a different
 //     object while the entry lives.
-// A display pattern determines its language and the character classes its
-// DFA is built over, and every minimal DFA is numbered canonically, so a
+// A ToPattern rendering determines its language and the character classes
+// its DFA is built over, and every minimal DFA is numbered canonically, so a
 // shared or memoized result is byte-for-byte the one a direct computation
 // would produce. Scopes nest (an inner scope joins the open memo); the
 // outermost one frees the memo when it closes. Outside a scope every
@@ -147,6 +150,7 @@ class Regex {
  private:
   friend class AlgebraScope;
   friend std::optional<Regex> PatternCacheLookupGlob(std::string_view pattern);
+  friend Regex PatternCacheStoreGlob(std::string_view pattern, NodePtr node);
   struct Memo;
 
   Regex(std::string pattern, NodePtr ast);
@@ -155,9 +159,15 @@ class Regex {
   // The calling thread's open memo, or null outside every AlgebraScope.
   static Memo*& CurrentMemo();
 
-  // Inside an AlgebraScope: `regex` (AST-backed) adopts the DFA of an
-  // earlier regex with the same display pattern, or registers its own.
-  static Regex Shared(Regex regex);
+  // Inside an AlgebraScope: `regex` adopts the DFA of an earlier regex with
+  // the same display pattern, or registers its own. `regex` must be
+  // AST-backed and display ToPattern(ast): only that rendering determines
+  // the language. `count_probe` counts the lookup as a memo hit or miss;
+  // internal calls on behalf of an already counted operation pass false.
+  static Regex Shared(Regex regex, bool count_probe = true);
+
+  // Shared(), uncounted, for a regex built from `node`.
+  static Regex SharedFromAst(NodePtr node);
 
   // Runs `compute` through the memo when one is open; `by_ast` adds the
   // operands' AST identity to the key for results built from the AST.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/analyzer.h"
 #include "json_normalize.h"
 #include "obs/metrics.h"
+#include "regex/glob.h"
 #include "regex/regex.h"
 #include "rtypes/types.h"
 #include "script_generator.h"
@@ -193,6 +195,8 @@ TEST(RegexMemoTest, SharedDfasMatchEachAstsOwnDfa) {
 
 // The same display text reached through different AST shapes: the parser's
 // "a|b" and a hand-built alternation, "x?" as (x|ε) and as (ε|x).
+// FromPattern itself displays its source text and does not share, but must
+// still agree with the AST-built language of the same text.
 TEST(RegexMemoTest, SamePatternThroughDifferentAstShapes) {
   using regex::CharSet;
   using regex::MakeAlt2;
@@ -204,13 +208,12 @@ TEST(RegexMemoTest, SamePatternThroughDifferentAstShapes) {
     std::function<Regex()> first;
     std::function<Regex()> second;
   };
+  auto parsed = [](const char* text) { return Regex::FromAst(Regex::FromPattern(text)->ast()); };
   const std::vector<Shapes> cases = {
-      {[] { return *Regex::FromPattern("a|b"); },
-       [&] { return Regex::FromAst(MakeAlt2(ch('a'), ch('b'))); }},
+      {[&] { return parsed("a|b"); }, [&] { return Regex::FromAst(MakeAlt2(ch('a'), ch('b'))); }},
       {[&] { return Regex::FromAst(MakeAlt2(ch('x'), MakeEpsilon())); },
        [&] { return Regex::FromAst(MakeAlt2(MakeEpsilon(), ch('x'))); }},
-      {[] { return *Regex::FromPattern("x?"); },
-       [&] { return Regex::FromAst(MakeAlt2(MakeEpsilon(), ch('x'))); }},
+      {[&] { return parsed("x?"); }, [&] { return Regex::FromAst(MakeAlt2(MakeEpsilon(), ch('x'))); }},
   };
   const Regex y = Regex::Literal("y");
   for (const Shapes& c : cases) {
@@ -231,7 +234,42 @@ TEST(RegexMemoTest, SamePatternThroughDifferentAstShapes) {
     // (x|ε)|y prints "x|()|y" but (ε|x)|y prints "()|x|y".
     first.Union(y);
     ExpectSameLanguage(second.Union(y), union_direct, "union of " + second.pattern());
+    ExpectSameLanguage(*Regex::FromPattern(first.pattern()), first_direct,
+                       "FromPattern " + first.pattern());
   }
+}
+
+// A negated class means different languages to the two readers of "[^a]":
+// the regex parser leaves out newline, a glob's "[!a]" keeps it, and the
+// glob's ToPattern rendering is also "[^a]". Whichever is built first, in
+// whichever order, neither may take the other's DFA, and nothing a scope
+// saw may reach the process-wide pattern cache.
+TEST(RegexMemoTest, NegatedClassTextIsNotSharedAcrossReaders) {
+  regex::PatternCache::Clear();
+  for (bool glob_first : {true, false}) {
+    AlgebraScope scope;
+    std::optional<Regex> glob;
+    std::optional<Regex> pattern;
+    if (glob_first) {
+      glob = regex::GlobLanguage("[!a]");
+      pattern = Regex::FromPattern("[^a]");
+    } else {
+      pattern = Regex::FromPattern("[^a]");
+      glob = regex::GlobLanguage("[!a]");
+    }
+    EXPECT_EQ(glob->pattern(), "[^a]");
+    EXPECT_TRUE(glob->Matches("\n")) << "glob first: " << glob_first;
+    EXPECT_FALSE(pattern->Matches("\n")) << "glob first: " << glob_first;
+    EXPECT_FALSE(glob->EquivalentTo(*pattern));
+    EXPECT_TRUE(pattern->IncludedIn(*glob));
+    EXPECT_FALSE(glob->IncludedIn(*pattern));
+  }
+  // Both are now cache hits, built under scopes that have since closed.
+  EXPECT_FALSE(Regex::FromPattern("[^a]")->Matches("\n"));
+  EXPECT_TRUE(regex::GlobLanguage("[!a]").Matches("\n"));
+  AlgebraScope later;
+  EXPECT_FALSE(Regex::FromPattern("[^a]")->Matches("\n"));
+  EXPECT_TRUE(regex::GlobLanguage("[!a]").Matches("\n"));
 }
 
 TEST(RegexMemoTest, ConstantsAndLiteralsAreShared) {
@@ -241,7 +279,9 @@ TEST(RegexMemoTest, ConstantsAndLiteralsAreShared) {
   {
     AlgebraScope scope;
     EXPECT_EQ(&Regex::Literal("abc").dfa(), &Regex::Literal("abc").dfa());
+    // Each call counts once: the first a miss, the second a hit.
     EXPECT_EQ(scope.stats().hits, 1u);
+    EXPECT_EQ(scope.stats().misses, 1u);
   }
   // Outside a scope each literal owns its DFA.
   EXPECT_NE(&Regex::Literal("abc").dfa(), &Regex::Literal("abc").dfa());
