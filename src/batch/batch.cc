@@ -48,6 +48,16 @@ std::string_view FileStatusName(FileStatus status) {
   return "?";
 }
 
+FileStatus FileStatusFromName(std::string_view name) {
+  for (FileStatus status : {FileStatus::kOk, FileStatus::kDegraded, FileStatus::kTimedOut,
+                            FileStatus::kCrashed}) {
+    if (name == FileStatusName(status)) {
+      return status;
+    }
+  }
+  return FileStatus::kFailed;
+}
+
 bool BatchResult::AnyError() const {
   return std::any_of(files.begin(), files.end(), [](const FileResult& f) { return !f.ok; });
 }
@@ -170,19 +180,14 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
     std::optional<std::string> payload = cache->Get("analysis", key);
     if (payload.has_value()) {
       if (std::optional<AnalysisEntry> entry = DecodeAnalysisEntry(*payload); entry.has_value()) {
-        result.ok = true;
+        result = std::move(*entry);
+        result.path = path;
         result.cached = true;
-        result.status = entry->degraded_reason.empty() ? FileStatus::kOk
-                                                       : ClassifyDegraded(entry->degraded_reason);
-        result.degraded_reason = std::move(entry->degraded_reason);
-        result.report_json = std::move(entry->report_json);
-        result.report_text = std::move(entry->report_text);
-        result.warnings_or_worse = entry->warnings_or_worse;
         result.micros = watch.ElapsedMicros();
         return result;
       }
-      // Undecodable entry (foreign version, torn write, bit rot): the
-      // checksum demoted it to a miss — fall through, re-analyze, overwrite.
+      // Undecodable entry (torn write, bit rot): the checksum demoted it
+      // to a miss — fall through, re-analyze, overwrite.
       if (metrics != nullptr) {
         metrics->counter("cache.corrupt_entries")->Add(1);
       }
@@ -215,14 +220,9 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   result.warnings_or_worse = static_cast<int64_t>(report.CountSeverity(Severity::kWarning));
 
   if (cache != nullptr && CacheableReason(result.degraded_reason)) {
-    AnalysisEntry entry;
-    entry.report_json = result.report_json;
-    entry.report_text = result.report_text;
-    entry.warnings_or_worse = result.warnings_or_worse;
-    entry.degraded_reason = result.degraded_reason;
-    // Encoding (checksum + JSON) stays on the worker — it parallelizes;
+    // Encoding (codec + checksum) stays on the worker — it parallelizes;
     // only the file I/O moves to the committer when a queue is attached.
-    std::string payload = EncodeAnalysisEntry(key, entry);
+    std::string payload = EncodeAnalysisEntry(key, result);
     if (commit != nullptr) {
       commit->Enqueue("analysis", std::move(key), std::move(payload));
     } else {

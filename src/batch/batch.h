@@ -14,7 +14,9 @@
 #define SASH_BATCH_BATCH_H_
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/cache.h"
@@ -66,6 +68,8 @@ struct BatchOptions {
 enum class FileStatus { kOk, kDegraded, kFailed, kTimedOut, kCrashed };
 
 std::string_view FileStatusName(FileStatus status);
+// The inverse of FileStatusName; an unknown name maps to kFailed.
+FileStatus FileStatusFromName(std::string_view name);
 
 // The outcome for one input file.
 struct FileResult {
@@ -80,6 +84,21 @@ struct FileResult {
   int64_t warnings_or_worse = 0;
   int64_t micros = 0;         // Wall time spent on this file by the driver.
 };
+
+// The one binary codec for a FileResult: every field but path and micros
+// (both the caller's), as length-prefixed fields decoded by slicing, so the
+// report bytes come back verbatim. A malformed or truncated record decodes
+// to nullopt. The --isolate worker pipe carries these bytes as they are.
+std::string EncodeFileResult(const FileResult& result);
+std::optional<FileResult> DecodeFileResult(std::string_view bytes);
+
+// An analysis cache entry is the cold run's FileResult in the sealed
+// container (SealEntry). Only deterministic degradation reasons are ever
+// cached: a timeout is a property of one machine at one moment, not of the
+// (script, options) pair, so the driver never Puts a timeout-degraded report.
+using AnalysisEntry = FileResult;
+std::string EncodeAnalysisEntry(std::string_view key, const AnalysisEntry& entry);
+std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload);
 
 struct BatchResult {
   std::vector<FileResult> files;  // Same order as the input list.

@@ -6,13 +6,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "batch/batch.h"
 #include "core/version.h"
 #include "obs/journal.h"
 #include "mining/man_corpus.h"
@@ -31,16 +34,55 @@ void Feed(util::Sha256* h, std::string_view part) {
   h->Update(part);
 }
 
-// Checksum of an entry's logical content. Framed like key material so field
-// boundaries cannot alias; any byte that matters to a warm replay is covered.
-std::string EntryChecksum(const AnalysisEntry& entry) {
-  util::Sha256 h;
-  Feed(&h, entry.report_text);
-  Feed(&h, entry.report_json);
-  Feed(&h, std::to_string(entry.warnings_or_worse));
-  Feed(&h, entry.degraded_reason);
-  return h.HexDigest();
+// Wire fields of the sealed container and the FileResult codec: scalars as
+// little-endian u64, byte strings as a u64 length then the bytes.
+void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
 }
+
+void PutBytes(std::string* out, std::string_view bytes) {
+  PutU64(out, bytes.size());
+  out->append(bytes);
+}
+
+// Reads wire fields back by slicing `rest`; every read fails rather than
+// running past the end.
+struct Reader {
+  std::string_view rest;
+
+  bool U64(uint64_t* v) {
+    if (rest.size() < 8) {
+      return false;
+    }
+    *v = 0;
+    for (int i = 0; i < 8; ++i) {
+      *v |= static_cast<uint64_t>(static_cast<uint8_t>(rest[i])) << (8 * i);
+    }
+    rest.remove_prefix(8);
+    return true;
+  }
+  bool Bytes(std::string_view* out) {
+    uint64_t n = 0;
+    if (!U64(&n) || n > rest.size()) {
+      return false;
+    }
+    *out = rest.substr(0, n);
+    rest.remove_prefix(n);
+    return true;
+  }
+  bool String(std::string* out) {
+    std::string_view bytes;
+    if (!Bytes(&bytes)) {
+      return false;
+    }
+    out->assign(bytes);
+    return true;
+  }
+};
+
+constexpr size_t kChecksumBytes = 32;
 
 }  // namespace
 
@@ -104,6 +146,7 @@ std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOpt
                         std::string_view annotations_text) {
   util::Sha256 h;
   Feed(&h, "analysis");
+  Feed(&h, kEntryFormat);
   Feed(&h, core::kVersion);
   Feed(&h, OptionsFingerprint(options));
   Feed(&h, annotations_text);
@@ -115,63 +158,88 @@ std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOpt
 std::string MineKey(std::string_view command, std::string_view man_text) {
   util::Sha256 h;
   Feed(&h, "mine");
+  Feed(&h, kEntryFormat);
   Feed(&h, core::kVersion);
   Feed(&h, command);
   Feed(&h, man_text);
   return h.HexDigest();
 }
 
+std::string SealEntry(std::string_view kind, std::string_view key, std::string_view body) {
+  std::string out(kEntryFormat);
+  out.reserve(out.size() + 3 * 8 + kind.size() + key.size() + body.size() + kChecksumBytes);
+  PutBytes(&out, kind);
+  PutBytes(&out, key);
+  PutBytes(&out, body);
+  util::Sha256 h;
+  h.Update(out);
+  const std::array<uint8_t, kChecksumBytes> sum = h.Digest();
+  out.append(reinterpret_cast<const char*>(sum.data()), sum.size());
+  return out;
+}
+
+std::optional<std::string_view> UnsealEntry(std::string_view payload, std::string_view kind) {
+  const std::string_view format = kEntryFormat;
+  if (payload.size() < format.size() + kChecksumBytes) {
+    return std::nullopt;
+  }
+  const std::string_view sealed = payload.substr(0, payload.size() - kChecksumBytes);
+  util::Sha256 h;
+  h.Update(sealed);
+  const std::array<uint8_t, kChecksumBytes> sum = h.Digest();
+  if (std::memcmp(sum.data(), payload.data() + sealed.size(), kChecksumBytes) != 0 ||
+      sealed.substr(0, format.size()) != format) {
+    return std::nullopt;
+  }
+  Reader in{sealed.substr(format.size())};
+  std::string_view stored_kind, key, body;
+  if (!in.Bytes(&stored_kind) || stored_kind != kind || !in.Bytes(&key) || !in.Bytes(&body) ||
+      !in.rest.empty()) {
+    return std::nullopt;
+  }
+  return body;
+}
+
+std::string EncodeFileResult(const FileResult& result) {
+  std::string out;
+  out.reserve(7 * 8 + result.degraded_reason.size() + result.error.size() +
+              result.report_json.size() + result.report_text.size());
+  PutU64(&out, (result.ok ? 1u : 0u) | (result.cached ? 2u : 0u));
+  PutU64(&out, static_cast<uint64_t>(result.status));
+  PutU64(&out, static_cast<uint64_t>(result.warnings_or_worse));
+  PutBytes(&out, result.degraded_reason);
+  PutBytes(&out, result.error);
+  PutBytes(&out, result.report_json);
+  PutBytes(&out, result.report_text);
+  return out;
+}
+
+std::optional<FileResult> DecodeFileResult(std::string_view bytes) {
+  Reader in{bytes};
+  uint64_t flags = 0;
+  uint64_t status = 0;
+  uint64_t warnings = 0;
+  FileResult result;
+  if (!in.U64(&flags) || flags > 3 || !in.U64(&status) ||
+      status > static_cast<uint64_t>(FileStatus::kCrashed) || !in.U64(&warnings) ||
+      !in.String(&result.degraded_reason) || !in.String(&result.error) ||
+      !in.String(&result.report_json) || !in.String(&result.report_text) || !in.rest.empty()) {
+    return std::nullopt;
+  }
+  result.ok = (flags & 1) != 0;
+  result.cached = (flags & 2) != 0;
+  result.status = static_cast<FileStatus>(status);
+  result.warnings_or_worse = static_cast<int64_t>(warnings);
+  return result;
+}
+
 std::string EncodeAnalysisEntry(std::string_view key, const AnalysisEntry& entry) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.KV("schema", kCacheSchema);
-  w.KV("kind", "analysis");
-  w.KV("key", key);
-  w.KV("sash", core::kVersion);
-  w.KV("warnings_or_worse", entry.warnings_or_worse);
-  w.KV("degraded_reason", entry.degraded_reason);
-  w.KV("checksum", EntryChecksum(entry));
-  w.KV("report_text", entry.report_text);
-  w.Key("report").Raw(entry.report_json);
-  w.EndObject();
-  return w.Take();
+  return SealEntry("analysis", key, EncodeFileResult(entry));
 }
 
 std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload) {
-  std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-  if (!doc.has_value() || !doc->is_object()) {
-    return std::nullopt;
-  }
-  const obs::JsonValue* schema = doc->Find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->string != kCacheSchema) {
-    return std::nullopt;
-  }
-  const obs::JsonValue* warnings = doc->Find("warnings_or_worse");
-  const obs::JsonValue* text = doc->Find("report_text");
-  const obs::JsonValue* report = doc->Find("report");
-  const obs::JsonValue* degraded = doc->Find("degraded_reason");
-  const obs::JsonValue* checksum = doc->Find("checksum");
-  if (warnings == nullptr || !warnings->is_number() || text == nullptr || !text->is_string() ||
-      report == nullptr || !report->is_object() || degraded == nullptr ||
-      !degraded->is_string() || checksum == nullptr || !checksum->is_string()) {
-    return std::nullopt;
-  }
-  AnalysisEntry entry;
-  entry.warnings_or_worse = static_cast<int64_t>(warnings->number);
-  entry.report_text = text->string;
-  entry.degraded_reason = degraded->string;
-  // Re-serialize the report value: WriteJsonValue round-trips the writer's
-  // own output exactly (member order preserved, integral numbers intact), so
-  // the bytes match what the cold run produced.
-  obs::JsonWriter w;
-  obs::WriteJsonValue(*report, &w);
-  entry.report_json = w.Take();
-  // A flipped byte anywhere in the logical content fails here; the caller
-  // treats nullopt as a miss and recomputes.
-  if (checksum->string != EntryChecksum(entry)) {
-    return std::nullopt;
-  }
-  return entry;
+  std::optional<std::string_view> body = UnsealEntry(payload, "analysis");
+  return body.has_value() ? DecodeFileResult(*body) : std::nullopt;
 }
 
 Cache::Cache(std::filesystem::path root, obs::Registry* metrics)
@@ -216,7 +284,7 @@ std::filesystem::path Cache::DefaultRoot() {
 }
 
 std::filesystem::path Cache::EntryPath(std::string_view kind, std::string_view key) const {
-  return root_ / kind / (std::string(key) + ".json");
+  return root_ / kind / (std::string(key) + ".entry");
 }
 
 std::optional<std::string> Cache::Get(std::string_view kind, std::string_view key) {

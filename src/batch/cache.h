@@ -5,12 +5,14 @@
 // something the result actually depends on changed.
 //
 // Key definition (all SHA-256, hex):
-//   analysis entry: H(kind="analysis" ‖ sash version ‖ options fingerprint ‖
-//                     spec-corpus fingerprint ‖ script content)
-//   mining entry:   H(kind="mine" ‖ sash version ‖ command name ‖ man text)
+//   analysis entry: H(kind="analysis" ‖ entry format ‖ sash version ‖
+//                     options fingerprint ‖ spec-corpus fingerprint ‖
+//                     script content)
+//   mining entry:   H(kind="mine" ‖ entry format ‖ sash version ‖
+//                     command name ‖ man text)
 // so touching the script, the spec corpus, the analysis flags, or upgrading
 // sash each invalidate exactly the affected entries. Entries are immutable
-// files named <key>.json under <root>/<kind>/; writes go through a temp file
+// files named <key>.entry under <root>/<kind>/; writes go through a temp file
 // and an atomic rename, so concurrent readers never observe a torn entry and
 // concurrent writers of the same key are idempotent.
 #ifndef SASH_BATCH_CACHE_H_
@@ -27,8 +29,10 @@
 
 namespace sash::batch {
 
-// Schema tag of cache entry documents.
-inline constexpr char kCacheSchema[] = "sash-cache-v1";
+// Format tag at the head of every sealed cache entry. It is key material
+// too, so changing it is the cache epoch bump: entries written in another
+// format are never looked up, rather than read and rejected as corrupt.
+inline constexpr char kEntryFormat[] = "sash-entry-v2";
 
 // Creates `dir` and any missing parents, treating a directory that appeared
 // concurrently (EEXIST from another driver racing to create the same
@@ -57,25 +61,15 @@ std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOpt
 // Cache key for one mined command (content = its man-page text).
 std::string MineKey(std::string_view command, std::string_view man_text);
 
-// One decoded analysis cache entry: everything a warm run needs to reproduce
-// the cold run's output byte-for-byte without re-analyzing.
-struct AnalysisEntry {
-  std::string report_json;  // AnalysisReport::ToJson(nullptr) of the cold run.
-  std::string report_text;  // AnalysisReport::ToString() of the cold run.
-  int64_t warnings_or_worse = 0;  // Drives the exit code.
-  // The cold run's degradation reason ("" when not degraded). Only
-  // deterministic reasons are ever cached — a timeout is a property of one
-  // machine at one moment, not of the (script, options) pair, so the driver
-  // never Puts a timeout-degraded report.
-  std::string degraded_reason;
-};
-
-// The encoded entry embeds a SHA-256 checksum of its logical content; Decode
-// recomputes and compares it, so a truncated or bit-flipped entry (torn
-// write, disk corruption) decodes to nullopt — a miss, never a crash and
-// never a silently wrong replay.
-std::string EncodeAnalysisEntry(std::string_view key, const AnalysisEntry& entry);
-std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload);
+// The sealed container every cache entry is stored in:
+//   format tag ‖ kind ‖ key ‖ body ‖ SHA-256 of all preceding bytes
+// with kind, key and body length-prefixed. The checksum covers every stored
+// byte, so UnsealEntry verifies it before reading any field: a truncated or
+// bit-flipped entry (torn write, disk corruption) opens to nullopt — a miss,
+// never a crash and never a silently wrong replay. The body view points
+// into `payload`.
+std::string SealEntry(std::string_view kind, std::string_view key, std::string_view body);
+std::optional<std::string_view> UnsealEntry(std::string_view payload, std::string_view kind);
 
 class Cache {
  public:

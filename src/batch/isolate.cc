@@ -16,16 +16,6 @@ namespace {
 // as a crash (status kCrashed, reason "worker-watchdog").
 constexpr int64_t kDefaultWallBackstopMs = 120000;
 
-inline constexpr char kWorkerSchema[] = "sash-worker-v1";
-
-FileStatus StatusFromName(const std::string& name) {
-  if (name == "ok") return FileStatus::kOk;
-  if (name == "degraded") return FileStatus::kDegraded;
-  if (name == "timed_out") return FileStatus::kTimedOut;
-  if (name == "crashed") return FileStatus::kCrashed;
-  return FileStatus::kFailed;
-}
-
 // A filesystem-safe stem for quarantine artifacts: path separators and shell
 // metacharacters in the script's name must not escape the quarantine dir.
 std::string SanitizeName(const std::string& name) {
@@ -44,64 +34,12 @@ std::string SanitizeName(const std::string& name) {
 
 }  // namespace
 
-std::string EncodeWorkerResult(const FileResult& result) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.KV("schema", kWorkerSchema);
-  w.KV("ok", result.ok);
-  w.KV("cached", result.cached);
-  w.KV("status", FileStatusName(result.status));
-  w.KV("degraded_reason", result.degraded_reason);
-  w.KV("error", result.error);
-  w.KV("warnings_or_worse", result.warnings_or_worse);
-  w.KV("report_text", result.report_text);
-  if (!result.report_json.empty()) {
-    w.Key("report").Raw(result.report_json);
+bool DecodeWorkerResult(std::string_view payload, FileResult* result) {
+  std::optional<FileResult> decoded = DecodeFileResult(payload);
+  if (decoded.has_value()) {
+    *result = std::move(*decoded);
   }
-  w.EndObject();
-  return w.Take();
-}
-
-bool DecodeWorkerResult(const std::string& payload, FileResult* result) {
-  std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-  if (!doc.has_value() || !doc->is_object()) {
-    return false;
-  }
-  const obs::JsonValue* schema = doc->Find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->string != kWorkerSchema) {
-    return false;
-  }
-  const obs::JsonValue* ok = doc->Find("ok");
-  const obs::JsonValue* cached = doc->Find("cached");
-  const obs::JsonValue* status = doc->Find("status");
-  const obs::JsonValue* degraded = doc->Find("degraded_reason");
-  const obs::JsonValue* error = doc->Find("error");
-  const obs::JsonValue* warnings = doc->Find("warnings_or_worse");
-  const obs::JsonValue* text = doc->Find("report_text");
-  if (ok == nullptr || !ok->is_bool() || cached == nullptr || !cached->is_bool() ||
-      status == nullptr || !status->is_string() || degraded == nullptr ||
-      !degraded->is_string() || error == nullptr || !error->is_string() ||
-      warnings == nullptr || !warnings->is_number() || text == nullptr || !text->is_string()) {
-    return false;
-  }
-  result->ok = ok->boolean;
-  result->cached = cached->boolean;
-  result->status = StatusFromName(status->string);
-  result->degraded_reason = degraded->string;
-  result->error = error->string;
-  result->warnings_or_worse = static_cast<int64_t>(warnings->number);
-  result->report_text = text->string;
-  result->report_json.clear();
-  if (const obs::JsonValue* report = doc->Find("report");
-      report != nullptr && report->is_object()) {
-    // Round-trip through the writer: its own output re-serializes exactly,
-    // so the parent hands out the same report bytes the worker computed —
-    // the isolation boundary is invisible to byte-identity tests.
-    obs::JsonWriter w;
-    obs::WriteJsonValue(*report, &w);
-    result->report_json = w.Take();
-  }
-  return true;
+  return decoded.has_value();
 }
 
 std::string BankQuarantine(const std::filesystem::path& cache_root, const std::string& name,
@@ -184,8 +122,6 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
   switch (worker.outcome) {
     case util::WorkerOutcome::kOk: {
       if (!DecodeWorkerResult(worker.payload, &result)) {
-        result = FileResult();
-        result.path = path;
         result.status = FileStatus::kFailed;
         result.error = "isolated worker returned an undecodable result";
       }

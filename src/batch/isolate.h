@@ -20,10 +20,10 @@
 
 namespace sash::batch {
 
-// Serialization of a FileResult across the worker pipe (sash-worker-v1).
-// Public for the serve layer's tests; micros is the parent's to fill.
-std::string EncodeWorkerResult(const FileResult& result);
-bool DecodeWorkerResult(const std::string& payload, FileResult* result);
+// A FileResult across the worker pipe: the FileResult codec, unsealed.
+// Public for the serve layer's tests; path and micros are the parent's.
+inline std::string EncodeWorkerResult(const FileResult& result) { return EncodeFileResult(result); }
+bool DecodeWorkerResult(std::string_view payload, FileResult* result);
 
 // Runs AnalyzeSourceCached(options, path, source, cache, ...) in a forked
 // worker under options.max_rss_mb / options.worker_cpu_s, with a parent-side

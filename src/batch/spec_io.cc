@@ -1,42 +1,10 @@
 #include "batch/spec_io.h"
 
 #include "batch/cache.h"
-#include "core/version.h"
-#include "util/sha256.h"
 
 namespace sash::batch {
 
 namespace {
-
-// Content checksum over everything a warm load reuses, so a bit-flipped or
-// truncated mining entry is detected and demoted to a re-mine rather than
-// silently installing a wrong spec. Specs are hashed via their canonical
-// serialization (the writer's own output, which Decode re-derives exactly).
-std::string MiningChecksum(const mining::MiningOutcome& outcome) {
-  util::Sha256 h;
-  auto feed = [&h](std::string_view part) {
-    h.Update(std::to_string(part.size()));
-    h.Update(":");
-    h.Update(part);
-  };
-  feed(outcome.command);
-  feed(outcome.ok ? "1" : "0");
-  feed(outcome.error);
-  obs::JsonWriter specs_w;
-  WriteSyntaxSpec(outcome.syntax, &specs_w);
-  WriteCommandSpec(outcome.spec, &specs_w);
-  feed(specs_w.Take());
-  feed(std::to_string(outcome.invocations));
-  feed(std::to_string(outcome.environments));
-  feed(std::to_string(outcome.probes));
-  feed(std::to_string(outcome.cases));
-  feed(std::to_string(outcome.validation.configurations));
-  feed(std::to_string(outcome.validation.agreements));
-  for (const std::string& d : outcome.validation.disagreements) {
-    feed(d);
-  }
-  return h.HexDigest();
-}
 
 // Lookup helpers tolerant of missing members: decoding fails (nullopt) rather
 // than crashing on a foreign or truncated document.
@@ -272,14 +240,9 @@ std::optional<specs::CommandSpec> ReadCommandSpec(const obs::JsonValue& v) {
 std::string EncodeMiningOutcome(std::string_view key, const mining::MiningOutcome& outcome) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.KV("schema", kCacheSchema);
-  w.KV("kind", "mine");
-  w.KV("key", key);
-  w.KV("sash", core::kVersion);
   w.KV("command", outcome.command);
   w.KV("ok", outcome.ok);
   w.KV("error", outcome.error);
-  w.KV("checksum", MiningChecksum(outcome));
   w.Key("syntax");
   WriteSyntaxSpec(outcome.syntax, &w);
   w.Key("spec");
@@ -298,18 +261,16 @@ std::string EncodeMiningOutcome(std::string_view key, const mining::MiningOutcom
   w.EndArray();
   w.EndObject();
   w.EndObject();
-  return w.Take();
+  return SealEntry("mine", key, w.Take());
 }
 
 std::optional<mining::MiningOutcome> DecodeMiningOutcome(std::string_view payload) {
-  std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-  if (!doc.has_value() || !doc->is_object()) {
+  std::optional<std::string_view> body = UnsealEntry(payload, "mine");
+  if (!body.has_value()) {
     return std::nullopt;
   }
-  const obs::JsonValue* schema = doc->Find("schema");
-  const obs::JsonValue* kind = doc->Find("kind");
-  if (schema == nullptr || !schema->is_string() || schema->string != kCacheSchema ||
-      kind == nullptr || !kind->is_string() || kind->string != "mine") {
+  std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*body);
+  if (!doc.has_value() || !doc->is_object()) {
     return std::nullopt;
   }
   mining::MiningOutcome out;
@@ -346,12 +307,6 @@ std::optional<mining::MiningOutcome> DecodeMiningOutcome(std::string_view payloa
       return std::nullopt;
     }
     out.validation.disagreements.push_back(d.string);
-  }
-  // Corruption gate: the stored checksum must match one recomputed from the
-  // decoded content, or this entry is treated as a miss and re-mined.
-  std::string checksum;
-  if (!GetString(*doc, "checksum", &checksum) || checksum != MiningChecksum(out)) {
-    return std::nullopt;
   }
   return out;
 }

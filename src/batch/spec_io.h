@@ -24,7 +24,8 @@ void WriteCommandSpec(const specs::CommandSpec& spec, obs::JsonWriter* w);
 std::optional<specs::SyntaxSpec> ReadSyntaxSpec(const obs::JsonValue& v);
 std::optional<specs::CommandSpec> ReadCommandSpec(const obs::JsonValue& v);
 
-// A full mining outcome as one cacheable document.
+// A full mining outcome as one cache entry: its JSON document as the body
+// of the sealed container (SealEntry, kind "mine").
 std::string EncodeMiningOutcome(std::string_view key, const mining::MiningOutcome& outcome);
 std::optional<mining::MiningOutcome> DecodeMiningOutcome(std::string_view payload);
 

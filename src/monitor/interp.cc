@@ -6,6 +6,7 @@
 #include "fs/glob.h"
 #include "fs/path.h"
 #include "obs/trace.h"
+#include "syntax/arith.h"
 #include "util/strings.h"
 
 namespace sash::monitor {
@@ -388,86 +389,6 @@ std::string Interpreter::ExpandParam(const WordPart& part, ExecContext& ctx) {
   return value;
 }
 
-long Interpreter::EvalArith(const std::string& expr) {
-  // Substitute variables, then evaluate + - * / % ( ).
-  struct P {
-    const std::string& s;
-    Interpreter* in;
-    size_t i = 0;
-    void Ws() {
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
-    }
-    long Prim() {
-      Ws();
-      if (i < s.size() && s[i] == '(') {
-        ++i;
-        long v = Expr();
-        Ws();
-        if (i < s.size() && s[i] == ')') {
-          ++i;
-        }
-        return v;
-      }
-      if (i < s.size() && s[i] == '-') {
-        ++i;
-        return -Prim();
-      }
-      if (i < s.size() && s[i] == '$') {
-        ++i;
-      }
-      if (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        long v = 0;
-        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-          v = v * 10 + (s[i++] - '0');
-        }
-        return v;
-      }
-      if (i < s.size() && (std::isalpha(static_cast<unsigned char>(s[i])) || s[i] == '_')) {
-        std::string name;
-        while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_')) {
-          name += s[i++];
-        }
-        return std::atol(in->LookupVar(name).c_str());
-      }
-      ++i;
-      return 0;
-    }
-    long Term() {
-      long v = Prim();
-      while (true) {
-        Ws();
-        if (i < s.size() && (s[i] == '*' || s[i] == '/' || s[i] == '%')) {
-          char op = s[i++];
-          long r = Prim();
-          if ((op == '/' || op == '%') && r == 0) {
-            return 0;
-          }
-          v = op == '*' ? v * r : op == '/' ? v / r : v % r;
-        } else {
-          return v;
-        }
-      }
-    }
-    long Expr() {
-      long v = Term();
-      while (true) {
-        Ws();
-        if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
-          char op = s[i++];
-          long r = Term();
-          v = op == '+' ? v + r : v - r;
-        } else {
-          return v;
-        }
-      }
-    }
-  };
-  P p{expr, this};
-  return p.Expr();
-}
-
 std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecContext& ctx,
                                      bool in_quotes) {
   std::string out;
@@ -503,9 +424,15 @@ std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecCon
         out += captured;
         break;
       }
-      case WordPartKind::kArith:
-        out += std::to_string(EvalArith(p.text));
+      case WordPartKind::kArith: {
+        // An unset or non-numeric variable reads as 0; a malformed
+        // expression or a division by zero yields 0.
+        auto lookup = [this](std::string_view name) {
+          return syntax::ParseArithInt(LookupVar(std::string(name))).value_or(0);
+        };
+        out += std::to_string(syntax::EvalArith(p.text, lookup).value_or(0));
         break;
+      }
       case WordPartKind::kGlobStar:
         out += in_quotes ? "*" : "*";
         break;

@@ -81,7 +81,6 @@ class Interpreter {
                           bool in_quotes);
   std::string ExpandParam(const syntax::WordPart& part, ExecContext& ctx);
   std::string LookupVar(const std::string& name) const;
-  long EvalArith(const std::string& expr);
 
   int RunTestBuiltin(const std::vector<std::string>& args);
   void Emit(ExecContext& ctx, const std::string& text);

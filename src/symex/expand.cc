@@ -1,13 +1,12 @@
 // Word expansion over symbolic values: parameter expansion (all POSIX
 // operators), command substitution, arithmetic, quoting, globs, tilde.
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <functional>
 
 #include "fs/glob.h"
 #include "fs/path.h"
 #include "symex/evaluator.h"
+#include "syntax/arith.h"
 #include "util/strings.h"
 
 namespace sash::symex {
@@ -466,109 +465,14 @@ SymValue Evaluator::EvalCommandSub(State& st, const WordPart& part, int depth,
 }
 
 SymValue Evaluator::EvalArith(State& st, const std::string& expr) {
-  // A small integer-expression evaluator: + - * / % ( ) unary -, decimal
-  // literals, and variable names with concrete integer values. Anything else
+  // Only variables with concrete integer values are known; anything else
   // yields an unknown number.
-  struct Parser {
-    const std::string& s;
-    const State& st;
-    size_t i = 0;
-    bool failed = false;
-
-    void SkipWs() {
-      while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) {
-        ++i;
-      }
-    }
-    long Primary() {
-      SkipWs();
-      if (i < s.size() && s[i] == '(') {
-        ++i;
-        long v = Expr();
-        SkipWs();
-        if (i < s.size() && s[i] == ')') {
-          ++i;
-        } else {
-          failed = true;
-        }
-        return v;
-      }
-      if (i < s.size() && s[i] == '-') {
-        ++i;
-        return -Primary();
-      }
-      if (i < s.size() && s[i] == '$') {
-        ++i;  // $name inside arithmetic.
-      }
-      if (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        long v = 0;
-        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-          v = v * 10 + (s[i] - '0');
-          ++i;
-        }
-        return v;
-      }
-      if (i < s.size() && (std::isalpha(static_cast<unsigned char>(s[i])) || s[i] == '_')) {
-        std::string name;
-        while (i < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_')) {
-          name += s[i++];
-        }
-        const SymValue* v = st.Lookup(name);
-        if (v != nullptr && v->is_concrete()) {
-          errno = 0;
-          char* end = nullptr;
-          long value = std::strtol(v->concrete().c_str(), &end, 10);
-          if (end != nullptr && *end == '\0' && !v->concrete().empty()) {
-            return value;
-          }
-        }
-        failed = true;
-        return 0;
-      }
-      failed = true;
-      return 0;
-    }
-    long Term() {
-      long v = Primary();
-      while (!failed) {
-        SkipWs();
-        if (i < s.size() && (s[i] == '*' || s[i] == '/' || s[i] == '%')) {
-          char op = s[i++];
-          long rhs = Primary();
-          if ((op == '/' || op == '%') && rhs == 0) {
-            failed = true;
-            return 0;
-          }
-          v = op == '*' ? v * rhs : op == '/' ? v / rhs : v % rhs;
-        } else {
-          break;
-        }
-      }
-      return v;
-    }
-    long Expr() {
-      long v = Term();
-      while (!failed) {
-        SkipWs();
-        if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
-          char op = s[i++];
-          long rhs = Term();
-          v = op == '+' ? v + rhs : v - rhs;
-        } else {
-          break;
-        }
-      }
-      return v;
-    }
-  };
-  Parser p{expr, st};
-  long v = p.Expr();
-  p.SkipWs();
-  if (p.failed || p.i != expr.size()) {
-    return SymValue::UnknownNumber();
-  }
-  return SymValue::Concrete(std::to_string(v));
+  std::optional<int64_t> v = syntax::EvalArith(expr, [&st](std::string_view name) {
+    const SymValue* value = st.Lookup(std::string(name));
+    return value != nullptr && value->is_concrete() ? syntax::ParseArithInt(value->concrete())
+                                                    : std::nullopt;
+  });
+  return v.has_value() ? SymValue::Concrete(std::to_string(*v)) : SymValue::UnknownNumber();
 }
 
 }  // namespace sash::symex

@@ -13,6 +13,7 @@
 #include "batch/batch.h"
 #include "batch/cache.h"
 #include "batch/commit_queue.h"
+#include "batch/isolate.h"
 #include "batch/mine_cache.h"
 #include "batch/spec_io.h"
 #include "json_normalize.h"
@@ -306,17 +307,91 @@ TEST_F(BatchCacheTest, CorruptCacheEntryIsIgnoredAndRepaired) {
   EXPECT_TRUE(driver.Run(files).files[0].cached);
 }
 
+// Every strict prefix and every single-byte flip of a sealed entry opens to
+// nullopt: the checksum covers every stored byte.
+template <typename Decode>
+void ExpectEveryPrefixAndFlipRejected(const std::string& payload, Decode decode) {
+  for (size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(decode(std::string_view(payload).substr(0, n)).has_value()) << "prefix " << n;
+  }
+  std::string flipped = payload;
+  for (size_t i = 0; i < flipped.size(); ++i) {
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(decode(flipped).has_value()) << "flip at " << i;
+    flipped[i] ^= 0x01;
+  }
+}
+
+void ExpectSameRecord(const FileResult& got, const FileResult& want) {
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.cached, want.cached);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.degraded_reason, want.degraded_reason);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.report_json, want.report_json);
+  EXPECT_EQ(got.report_text, want.report_text);
+  EXPECT_EQ(got.warnings_or_worse, want.warnings_or_worse);
+}
+
+TEST(FileStatusNames, RoundTripAndUnknownIsFailed) {
+  for (FileStatus status : {FileStatus::kOk, FileStatus::kDegraded, FileStatus::kFailed,
+                            FileStatus::kTimedOut, FileStatus::kCrashed}) {
+    EXPECT_EQ(FileStatusFromName(FileStatusName(status)), status);
+  }
+  EXPECT_EQ(FileStatusFromName("no-such-status"), FileStatus::kFailed);
+  EXPECT_EQ(FileStatusFromName(""), FileStatus::kFailed);
+}
+
 TEST_F(BatchCacheTest, AnalysisEntryRoundTripsVerbatim) {
-  AnalysisEntry entry;
-  entry.report_json = R"({"schema":"sash-analysis-v1","parse_ok":true,"n":3,"s":"a\"b\nc"})";
-  entry.report_text = "line one\nline \"two\"\n";
-  entry.warnings_or_worse = 4;
-  std::string payload = EncodeAnalysisEntry("k123", entry);
-  std::optional<AnalysisEntry> back = DecodeAnalysisEntry(payload);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->report_json, entry.report_json);
-  EXPECT_EQ(back->report_text, entry.report_text);
-  EXPECT_EQ(back->warnings_or_worse, 4);
+  // Every status, with fields that are empty or hold NUL, non-UTF-8 bytes
+  // and quotes, comes back verbatim through the cache entry and through the
+  // worker-pipe encoding.
+  const std::string odd = std::string("a\0b\"\xff\xfe\\\n", 9) + "\x80 \"q\"";
+  for (FileStatus status : {FileStatus::kOk, FileStatus::kDegraded, FileStatus::kFailed,
+                            FileStatus::kTimedOut, FileStatus::kCrashed}) {
+    for (bool empty : {true, false}) {
+      FileResult entry;
+      entry.ok = !empty;
+      entry.cached = empty;
+      entry.status = status;
+      entry.warnings_or_worse = empty ? 0 : -7;
+      if (!empty) {
+        entry.degraded_reason = odd;
+        entry.error = odd + "e";
+        entry.report_json = R"({"schema":"sash-analysis-v1","n":3,"s":"a\"b\nc"})" + odd;
+        entry.report_text = "line one\nline \"two\"\n" + odd;
+      }
+      std::optional<AnalysisEntry> back = DecodeAnalysisEntry(EncodeAnalysisEntry("k123", entry));
+      ASSERT_TRUE(back.has_value());
+      ExpectSameRecord(*back, entry);
+      FileResult piped;
+      ASSERT_TRUE(DecodeWorkerResult(EncodeWorkerResult(entry), &piped));
+      ExpectSameRecord(piped, entry);
+      const std::string wire = EncodeWorkerResult(entry);
+      for (size_t n = 0; n < wire.size(); ++n) {
+        EXPECT_FALSE(DecodeWorkerResult(wire.substr(0, n), &piped)) << "prefix " << n;
+      }
+    }
+  }
+  // An entry of one kind never opens as another.
+  const std::string sealed = SealEntry("mine", "k", "body");
+  EXPECT_FALSE(UnsealEntry(sealed, "analysis").has_value());
+  EXPECT_EQ(UnsealEntry(sealed, "mine"), "body");
+
+  // A real entry, as the driver stored it: damage anywhere is a miss.
+  std::vector<std::string> files = {WriteScript("steam.sh", ExampleCorpus()[0].second).string()};
+  BatchResult cold = BatchDriver(Options()).Run(files);
+  ASSERT_TRUE(cold.files[0].ok);
+  std::string payload;
+  for (const auto& e : fs::directory_iterator(CacheDir() / "analysis")) {
+    std::ifstream in(e.path(), std::ios::binary);
+    payload.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::optional<AnalysisEntry> stored = DecodeAnalysisEntry(payload);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->report_json, cold.files[0].report_json);
+  EXPECT_EQ(stored->report_text, cold.files[0].report_text);
+  ExpectEveryPrefixAndFlipRejected(payload, DecodeAnalysisEntry);
 }
 
 TEST_F(BatchCacheTest, MiningOutcomeRoundTripsAndCaches) {
@@ -337,6 +412,7 @@ TEST_F(BatchCacheTest, MiningOutcomeRoundTripsAndCaches) {
   EXPECT_EQ(decoded->syntax.UsageString(), first.syntax.UsageString());
   EXPECT_EQ(decoded->validation.configurations, first.validation.configurations);
   EXPECT_EQ(decoded->validation.agreements, first.validation.agreements);
+  ExpectEveryPrefixAndFlipRejected(payload, DecodeMiningOutcome);
 
   // The second mine is served from disk and behaves identically.
   mining::MiningOutcome second = CachedMineCommand(&cache, "rm");

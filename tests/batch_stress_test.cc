@@ -18,7 +18,6 @@
 #include "batch/batch.h"
 #include "batch/cache.h"
 #include "json_normalize.h"
-#include "obs/json.h"
 #include "util/thread_pool.h"
 
 namespace sash::batch {
@@ -94,22 +93,19 @@ TEST_F(BatchStressTest, ConcurrentDriversSharedCacheNoTornFilesBoundedWork) {
   EXPECT_LE(total_misses, static_cast<int64_t>(kDrivers) * kScripts);
   EXPECT_GE(total_misses, static_cast<int64_t>(kScripts) * 3 / 4);  // Someone did the work.
 
-  // No torn files: every entry on disk parses as a complete JSON document
-  // with the cache schema tag, and no temp files were left behind.
+  // No torn files: every entry on disk opens as a sealed analysis entry
+  // whose checksum verifies and whose record decodes, and no temp files
+  // were left behind.
   int entries = 0;
   for (const auto& e : fs::recursive_directory_iterator(cache_dir)) {
     if (!e.is_regular_file()) {
       continue;
     }
-    EXPECT_EQ(e.path().extension(), ".json") << "leftover temp file: " << e.path();
-    std::ifstream in(e.path());
+    EXPECT_EQ(e.path().extension(), ".entry") << "leftover temp file: " << e.path();
+    std::ifstream in(e.path(), std::ios::binary);
     std::string payload((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-    ASSERT_TRUE(doc.has_value()) << "torn cache entry: " << e.path();
-    ASSERT_TRUE(doc->is_object());
-    const obs::JsonValue* schema = doc->Find("schema");
-    ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->string, kCacheSchema);
+    ASSERT_TRUE(UnsealEntry(payload, "analysis").has_value()) << "torn cache entry: " << e.path();
+    ASSERT_TRUE(DecodeAnalysisEntry(payload).has_value()) << "torn cache entry: " << e.path();
     ++entries;
   }
   EXPECT_EQ(entries, kScripts);  // Exactly one entry per unique script.

@@ -60,6 +60,10 @@ INSTANTIATE_TEST_SUITE_P(
         VarExpectation{"x=hello\ny=\"$x world\"\n", "y"},
         VarExpectation{"x=$(echo one two)\n", "x"},
         VarExpectation{"n=6\nm=$((n * 7 + 1))\n", "m"},
+        // Overflow wraps (64-bit two's complement) in both engines.
+        VarExpectation{"x=$((99999999999999999999 + 1))\n", "x"},
+        VarExpectation{"m=$((-9223372036854775807 - 1))\nq=$((m / -1))\n", "q"},
+        VarExpectation{"m=$((-9223372036854775807 - 1))\nr=$((m % -1))\n", "r"},
         VarExpectation{"p=/a/b/c.txt\nd=${p%/*}\n", "d"},
         VarExpectation{"p=/a/b/c.txt\nb=${p##*/}\n", "b"},
         VarExpectation{"v=${unset_thing:-fallback}\n", "v"},

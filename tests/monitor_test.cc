@@ -36,6 +36,20 @@ TEST(Interp, CommandSubstitutionAndArith) {
   EXPECT_EQ(RunScript(fs, "echo `echo backtick`\n").out, "backtick\n");
 }
 
+TEST(Interp, ArithmeticOverflowWraps) {
+  fs::FileSystem fs;
+  EXPECT_EQ(RunScript(fs, "x=$((99999999999999999999 + 1))\necho $x\n").out,
+            "7766279631452241920\n");
+  EXPECT_EQ(RunScript(fs, "echo \"r=$((9223372036854775807 + 1))\"\n").out,
+            "r=-9223372036854775808\n");
+  EXPECT_EQ(RunScript(fs, "m=$((-9223372036854775807 - 1))\necho \"r=$((m / -1)) $((m % -1))\"\n")
+                .out,
+            "r=-9223372036854775808 0\n");
+  EXPECT_EQ(RunScript(fs, "n=99999999999999999999\necho \"r=$((n * 2))\"\n").out,
+            "r=-2914184810805067778\n");
+  EXPECT_EQ(RunScript(fs, "echo $((7 / 0))\n").out, "0\n");
+}
+
 TEST(Interp, PipelinesCarryData) {
   fs::FileSystem fs;
   InterpResult r = RunScript(fs, "echo 'b\na\nc' | sort | head -n1\n");

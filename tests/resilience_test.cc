@@ -251,8 +251,9 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
   BatchResult cold = driver.RunSources(sources);
   ASSERT_TRUE(cold.files[0].ok);
 
-  // Locate the single entry and flip the case of one report_text letter:
-  // the JSON stays valid, so only the content checksum can catch it.
+  // Locate the single entry and flip the case of one letter inside the
+  // stored report-text bytes: every length stays intact, so only the
+  // checksum can catch it.
   std::vector<fs::path> entries;
   for (const auto& e : fs::recursive_directory_iterator(cache_dir)) {
     if (e.is_regular_file()) {
@@ -267,10 +268,11 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
     buf << in.rdbuf();
     payload = buf.str();
   }
-  size_t field = payload.find("\"report_text\":\"");
+  const std::string& text = cold.files[0].report_text;
+  size_t field = payload.find(text);
   ASSERT_NE(field, std::string::npos);
   size_t flip = std::string::npos;
-  for (size_t i = field + 15; i < payload.size(); ++i) {
+  for (size_t i = field; i < field + text.size(); ++i) {
     if (std::isalpha(static_cast<unsigned char>(payload[i]))) {
       flip = i;
       break;

@@ -228,24 +228,6 @@ std::string BatchJson(const sash::batch::BatchResult& result, int jobs, bool cac
   return w.Take();
 }
 
-// Maps the wire `file_status` back to the batch enum so `--via` output goes
-// through exactly the same rendering path as local output.
-sash::batch::FileStatus FileStatusFromName(const std::string& name) {
-  if (name == "ok") {
-    return sash::batch::FileStatus::kOk;
-  }
-  if (name == "degraded") {
-    return sash::batch::FileStatus::kDegraded;
-  }
-  if (name == "timed_out") {
-    return sash::batch::FileStatus::kTimedOut;
-  }
-  if (name == "crashed") {
-    return sash::batch::FileStatus::kCrashed;
-  }
-  return sash::batch::FileStatus::kFailed;
-}
-
 // Runs the analyze batch against a resident server (`--via`). Returns 0 when
 // *result was filled from server responses, 1 when the caller should fall
 // back to local analysis (--fallback local after a transport failure), 2 on
@@ -293,8 +275,10 @@ int AnalyzeVia(const std::string& socket_path, bool fallback_local,
     }
     const sash::serve::RpcResponse& r = call.response;
     file.ok = r.status == sash::serve::kStatusOk;
+    // The wire `file_status` maps back to the batch enum so `--via` output
+    // goes through exactly the same rendering path as local output.
     file.status = !r.file_status.empty()
-                      ? FileStatusFromName(r.file_status)
+                      ? sash::batch::FileStatusFromName(r.file_status)
                       : (file.ok ? sash::batch::FileStatus::kOk : sash::batch::FileStatus::kFailed);
     file.degraded_reason = r.degraded_reason;
     file.cached = r.cached;
