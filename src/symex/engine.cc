@@ -110,31 +110,24 @@ std::vector<std::string> AssignedNames(const Command& cmd) {
   return out;
 }
 
-// Exact value key for the legacy signature: concrete text or the language's
+// Exact value key for the state signature: concrete text or the language's
 // display pattern, domain-tagged (mirrors SymValue::Digest's separation).
 std::string ValueKey(const SymValue& v) {
   return v.is_concrete() ? "c:" + v.concrete() : "l:" + v.lang().pattern();
 }
 
-// The legacy rendered-string signature for merging indistinguishable states.
-// The hot path compares State::Digest() instead; this stays as the slow
-// ground truth for paranoid-merge cross-checks and the digest-vs-legacy
-// differential. Languages are keyed by their display pattern (matching the
-// digest), not by Describe(), whose >48-char sampling fallback could alias
-// distinct languages with identical samples.
-std::string StateSignature(const State& st, bool describe_rendering = false) {
-  // describe_rendering reproduces the pre-overhaul signature exactly —
-  // Describe() per value, sampling included — so the bench can measure the
-  // seed-commit merge cost. Everything else uses the ValueKey form.
-  auto key = [describe_rendering](const SymValue& v) {
-    return describe_rendering ? v.Describe() : ValueKey(v);
-  };
+// The rendered-string signature of a state: the slow reference that
+// paranoid merging checks every digest decision against. Languages are
+// keyed by their display pattern (matching the digest), not by Describe(),
+// whose >48-char sampling fallback could alias distinct languages with
+// identical samples.
+std::string StateSignature(const State& st) {
   std::string sig;
   sig += st.terminated ? "T" : "A";
   sig += st.exit.known ? "k" + std::to_string(st.exit.code) : "u";
-  sig += "|cwd=" + key(st.cwd);
+  sig += "|cwd=" + ValueKey(st.cwd);
   for (const auto& [name, value] : st.vars()) {
-    sig += "|" + name.str() + "=" + key(value);
+    sig += "|" + name.str() + "=" + ValueKey(value);
     if (st.MaybeUnset(name)) {
       sig += "?";
     }
@@ -142,7 +135,7 @@ std::string StateSignature(const State& st, bool describe_rendering = false) {
   sig += "|fs:" + st.sfs.ToString();
   sig += "|out:" + std::to_string(st.stdout_lines.size());
   for (const SymValue& v : st.stdout_lines) {
-    sig += "," + key(v);
+    sig += "," + ValueKey(v);
   }
   return sig;
 }
@@ -309,39 +302,28 @@ std::vector<State> Evaluator::Control(std::vector<State> states) {
   if (options_.merge_identical_states && states.size() > 1) {
     std::vector<State> merged;
     merged.reserve(states.size());
-    if (options_.digest_merge) {
-      // Hot path: compare 64-bit digests, keep the first occurrence (same
-      // survivor rule as the legacy loop). Under paranoid merging, every
-      // digest hit is cross-checked against the legacy signature; a
-      // mismatch is a collision — counted, and the state kept separate.
-      std::unordered_map<uint64_t, size_t> seen;
-      seen.reserve(states.size() * 2);
-      for (State& s : states) {
-        uint64_t digest = s.Digest();
-        auto [it, inserted] = seen.emplace(digest, merged.size());
-        if (inserted) {
-          merged.push_back(std::move(s));
-          continue;
-        }
-        if (paranoid_merge_ &&
-            StateSignature(s) != StateSignature(merged[it->second])) {
+    // Compare 64-bit digests and keep the first occurrence. Under paranoid
+    // merging, each decision is also taken on the rendered signatures: the
+    // two must agree on whether a state is new and, if not, on which kept
+    // state it joins. A disagreement is a collision, counted; the state is
+    // kept separate either way.
+    std::unordered_map<uint64_t, size_t> seen;
+    seen.reserve(states.size() * 2);
+    std::unordered_map<std::string, size_t> by_signature;
+    for (State& s : states) {
+      auto [it, inserted] = seen.emplace(s.Digest(), merged.size());
+      if (options_.paranoid_merge) {
+        auto [sig, sig_new] = by_signature.emplace(StateSignature(s), merged.size());
+        bool agree = inserted ? sig_new : !sig_new && sig->second == it->second;
+        if (!agree) {
           ++stats_->digest_collisions;
-          merged.push_back(std::move(s));
-          continue;
+          inserted = true;
         }
-        ++stats_->states_merged;
       }
-    } else {
-      std::map<std::string, size_t> seen;
-      for (State& s : states) {
-        std::string sig = StateSignature(s, options_.legacy_describe_signature);
-        auto it = seen.find(sig);
-        if (it == seen.end()) {
-          seen.emplace(std::move(sig), merged.size());
-          merged.push_back(std::move(s));
-        } else {
-          ++stats_->states_merged;
-        }
+      if (inserted) {
+        merged.push_back(std::move(s));
+      } else {
+        ++stats_->states_merged;
       }
     }
     states = std::move(merged);
@@ -1185,7 +1167,7 @@ std::string EmitKey(const char* code, SourceRange range, Severity severity) {
 
 bool Evaluator::AlreadyEmitted(const char* code, SourceRange range,
                                Severity severity) const {
-  return options_.emit_dedup_early_out && emitted_.count(EmitKey(code, range, severity)) > 0;
+  return emitted_.count(EmitKey(code, range, severity)) > 0;
 }
 
 void Evaluator::Emit(Severity severity, const char* code, SourceRange range, std::string message,

@@ -45,10 +45,7 @@ struct TestOutcome {
 class Evaluator {
  public:
   Evaluator(const EngineOptions& options, DiagnosticSink* sink, EngineStats* stats)
-      : options_(options),
-        sink_(sink),
-        stats_(stats),
-        paranoid_merge_(options.paranoid_merge || ParanoidMergeFromEnv()) {}
+      : options_(options), sink_(sink), stats_(stats) {}
 
   State MakeInitialState() const;
 
@@ -114,15 +111,9 @@ class Evaluator {
   // duplicates. `code` must be the same literal later passed to Emit.
   bool AlreadyEmitted(const char* code, SourceRange range, Severity severity) const;
 
-  static bool ParanoidMergeFromEnv() {
-    const char* v = std::getenv("SASH_PARANOID_MERGE");
-    return v != nullptr && std::string_view(v) != "0";
-  }
-
   const EngineOptions& options_;
   DiagnosticSink* sink_;
   EngineStats* stats_;
-  const bool paranoid_merge_ = false;
   int next_state_id_ = 0;
   std::set<std::string> emitted_;  // Dedup key: code@offset@severity.
 

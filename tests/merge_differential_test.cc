@@ -1,20 +1,21 @@
 // Merge differential suite: over the shared fuzz-grammar corpus, the state
-// merging strategy must be invisible in the report. Digest-based merging,
-// the legacy string signatures it replaced, paranoid cross-checked merging
-// (SASH_PARANOID_MERGE), and no merging at all must produce identical
-// sash-analysis-v1 findings — the digest and legacy paths byte-identical
-// documents outright, merging on/off identical findings (engine stats differ
-// by construction there: that is what merging does).
+// merging strategy must be invisible in the report. Digest merging must take
+// exactly the decisions the rendered state signatures would (paranoid
+// merging checks both directions at every merge point), and merging on/off
+// must produce identical sash-analysis-v1 findings (engine stats differ by
+// construction there: that is what merging does).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <set>
 #include <string>
 
 #include "core/analyzer.h"
 #include "json_normalize.h"
 #include "obs/json.h"
 #include "script_generator.h"
+#include "symex/engine.h"
+#include "syntax/parser.h"
 
 namespace sash {
 namespace {
@@ -31,17 +32,14 @@ core::AnalyzerOptions DifferentialOptions() {
 
 struct RunResult {
   std::string json;            // Normalized full document.
-  std::string findings;        // Normalized findings array only.
   std::string findings_no_notes;  // Findings with witness notes stripped.
   int digest_collisions = 0;
 };
 
-RunResult Analyze(const std::string& script, bool merge, bool digest, bool legacy_render,
-                  int max_states = 0) {
+RunResult Analyze(const std::string& script, bool merge, bool paranoid, int max_states = 0) {
   core::AnalyzerOptions options = DifferentialOptions();
   options.engine.merge_identical_states = merge;
-  options.engine.digest_merge = digest;
-  options.engine.legacy_describe_signature = legacy_render;
+  options.engine.paranoid_merge = paranoid;
   if (max_states > 0) {
     options.engine.max_states = max_states;
   }
@@ -53,9 +51,6 @@ RunResult Analyze(const std::string& script, bool merge, bool digest, bool legac
   std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(out.json);
   if (doc.has_value() && doc->is_object()) {
     if (const obs::JsonValue* findings = doc->Find("findings")) {
-      obs::JsonWriter w;
-      obs::WriteJsonValue(*findings, &w);
-      out.findings = w.Take();
       obs::JsonValue stripped = *findings;
       for (obs::JsonValue& f : stripped.array) {
         if (f.is_object()) {
@@ -65,38 +60,51 @@ RunResult Analyze(const std::string& script, bool merge, bool digest, bool legac
               f.object.end());
         }
       }
-      obs::JsonWriter w2;
-      obs::WriteJsonValue(stripped, &w2);
-      out.findings_no_notes = w2.Take();
+      obs::JsonWriter w;
+      obs::WriteJsonValue(stripped, &w);
+      out.findings_no_notes = w.Take();
     }
   }
   return out;
 }
 
 TEST(MergeDifferentialTest, DigestMatchesLegacySignaturesByteForByte) {
-  // Same merge decisions → same states → same stats → same document.
+  // Paranoid merging takes every decision on both the digest and the
+  // rendered signature and counts each disagreement: a digest hit whose
+  // signature differs, or a new digest whose signature was already seen.
+  // Zero means the digest merged exactly where the signatures would have,
+  // so the report must not move a byte.
   for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
     testing::ScriptGenerator gen(seed);
     std::string script = gen.Program();
     SCOPED_TRACE("seed=" + std::to_string(seed) + "\n" + script);
-    RunResult digest = Analyze(script, /*merge=*/true, /*digest=*/true, false);
-    RunResult legacy = Analyze(script, /*merge=*/true, /*digest=*/false, false);
-    EXPECT_EQ(digest.json, legacy.json);
+    RunResult plain = Analyze(script, /*merge=*/true, /*paranoid=*/false);
+    RunResult paranoid = Analyze(script, /*merge=*/true, /*paranoid=*/true);
+    EXPECT_EQ(plain.json, paranoid.json);
+    EXPECT_EQ(paranoid.digest_collisions, 0);
   }
 }
 
-TEST(MergeDifferentialTest, DigestMatchesSeedDescribeSignatures) {
-  // The pre-overhaul Describe()-rendered signatures partition states the
-  // same way (Describe sampling could in principle alias two languages, but
-  // the findings must agree regardless).
-  for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
-    testing::ScriptGenerator gen(seed);
-    std::string script = gen.Program();
-    SCOPED_TRACE("seed=" + std::to_string(seed) + "\n" + script);
-    RunResult digest = Analyze(script, /*merge=*/true, /*digest=*/true, false);
-    RunResult describe = Analyze(script, /*merge=*/true, /*digest=*/false, true);
-    EXPECT_EQ(digest.findings, describe.findings);
+TEST(MergeDifferentialTest, ParanoidMergeSeparatesStatesByCwd) {
+  // An analysis starts from a symbolic cwd, and `cd` from a symbolic cwd
+  // stays symbolic, so no analyzed script tells states apart by cwd alone.
+  // This engine run starts from a concrete cwd with /srv already known to
+  // be a directory; once PWD is reset, the two branches differ in cwd only.
+  syntax::ParseOutput parsed =
+      syntax::Parse("if grep -q key; then cd /srv; fi\nPWD=/\necho done\n");
+  DiagnosticSink sink;
+  symex::EngineOptions options;
+  options.paranoid_merge = true;
+  symex::Engine engine(options, &sink);
+  symex::State initial = engine.MakeInitialState();
+  initial.cwd = symex::SymValue::Concrete("/");
+  initial.sfs.Assume(symfs::PathKey::Concrete("/srv"), specs::PathState::kIsDir);
+  std::set<std::string> cwds;
+  for (const symex::State& st : engine.RunFrom(std::move(initial), parsed.program)) {
+    cwds.insert(st.cwd.concrete());
   }
+  EXPECT_EQ(engine.stats().digest_collisions, 0);
+  EXPECT_EQ(cwds, (std::set<std::string>{"/", "/srv"}));
 }
 
 TEST(MergeDifferentialTest, MergingNeverChangesFindings) {
@@ -113,27 +121,10 @@ TEST(MergeDifferentialTest, MergingNeverChangesFindings) {
     testing::ScriptGenerator gen(seed);
     std::string script = gen.Program();
     SCOPED_TRACE("seed=" + std::to_string(seed) + "\n" + script);
-    RunResult merged = Analyze(script, /*merge=*/true, /*digest=*/true, false, 1 << 16);
-    RunResult unmerged = Analyze(script, /*merge=*/false, /*digest=*/true, false, 1 << 16);
+    RunResult merged = Analyze(script, /*merge=*/true, /*paranoid=*/false, 1 << 16);
+    RunResult unmerged = Analyze(script, /*merge=*/false, /*paranoid=*/false, 1 << 16);
     ASSERT_FALSE(merged.findings_no_notes.empty());
     EXPECT_EQ(merged.findings_no_notes, unmerged.findings_no_notes);
-  }
-}
-
-TEST(MergeDifferentialTest, ParanoidMergeIsByteIdenticalAndCollisionFree) {
-  // SASH_PARANOID_MERGE cross-checks every digest merge against the legacy
-  // signature; on this corpus no 64-bit collision may fire, and the report
-  // must not move a byte.
-  for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
-    testing::ScriptGenerator gen(seed);
-    std::string script = gen.Program();
-    SCOPED_TRACE("seed=" + std::to_string(seed) + "\n" + script);
-    RunResult plain = Analyze(script, /*merge=*/true, /*digest=*/true, false);
-    ASSERT_EQ(setenv("SASH_PARANOID_MERGE", "1", /*overwrite=*/1), 0);
-    RunResult paranoid = Analyze(script, /*merge=*/true, /*digest=*/true, false);
-    ASSERT_EQ(unsetenv("SASH_PARANOID_MERGE"), 0);
-    EXPECT_EQ(plain.json, paranoid.json);
-    EXPECT_EQ(paranoid.digest_collisions, 0);
   }
 }
 

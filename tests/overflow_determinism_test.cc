@@ -44,11 +44,11 @@ std::string FindingsJson(const core::AnalysisReport& report) {
   return w.Take();
 }
 
-std::string AnalyzeFindings(const std::string& script, bool merge, bool digest,
+std::string AnalyzeFindings(const std::string& script, bool merge, bool paranoid,
                             int max_states) {
   core::AnalyzerOptions options;
   options.engine.merge_identical_states = merge;
-  options.engine.digest_merge = digest;
+  options.engine.paranoid_merge = paranoid;
   options.engine.max_states = max_states;
   core::Analyzer analyzer(options);
   core::AnalysisReport report = analyzer.AnalyzeSource(script);
@@ -59,17 +59,17 @@ std::string AnalyzeFindings(const std::string& script, bool merge, bool digest,
 
 TEST(OverflowDeterminismTest, MergeFlagsDoNotChangeSurvivingDiagnostics) {
   std::string script = BranchyScript();
-  std::string reference = AnalyzeFindings(script, /*merge=*/true, /*digest=*/true, 16);
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/true, /*digest=*/false, 16));
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*digest=*/true, 16));
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*digest=*/false, 16));
+  std::string reference = AnalyzeFindings(script, /*merge=*/true, /*paranoid=*/false, 16);
+  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/true, /*paranoid=*/true, 16));
+  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*paranoid=*/false, 16));
+  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*paranoid=*/true, 16));
 }
 
 TEST(OverflowDeterminismTest, RepeatedRunsAreIdentical) {
   std::string script = BranchyScript();
-  std::string reference = AnalyzeFindings(script, true, true, 16);
+  std::string reference = AnalyzeFindings(script, true, false, 16);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(reference, AnalyzeFindings(script, true, true, 16));
+    EXPECT_EQ(reference, AnalyzeFindings(script, true, false, 16));
   }
 }
 

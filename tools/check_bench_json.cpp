@@ -18,7 +18,7 @@
 //    "benches":{"hotpath":{
 //      "regress":{"hotpath.ns_per_script.full": 260000},  // fail if current
 //                                                         // > value*tolerance
-//      "min":{"hotpath.speedup_x100.full": 200}}}}        // fail if current
+//      "min":{"hotpath.identical.paranoid": 1}}}}         // fail if current
 //                                                         // < value
 // "regress" entries guard timing metrics against machine-relative slowdowns
 // (the tolerance absorbs host variance); "min" entries are hard floors for
