@@ -112,6 +112,49 @@ bool GlobMatch(std::string_view pattern, std::string_view text) {
   return MatchFrom(pattern, 0, text, 0);
 }
 
+std::string RemovePattern(const std::string& value, std::string_view pattern, bool suffix,
+                          bool largest) {
+  size_t n = value.size();
+  if (suffix) {
+    // Candidate suffixes value[k..n); smallest = largest k.
+    if (largest) {
+      for (size_t k = 0; k <= n; ++k) {
+        if (GlobMatch(pattern, std::string_view(value).substr(k))) {
+          return value.substr(0, k);
+        }
+      }
+    } else {
+      for (size_t k = n;; --k) {
+        if (GlobMatch(pattern, std::string_view(value).substr(k))) {
+          return value.substr(0, k);
+        }
+        if (k == 0) {
+          break;
+        }
+      }
+    }
+  } else {
+    // Candidate prefixes value[0..k).
+    if (largest) {
+      for (size_t k = n;; --k) {
+        if (GlobMatch(pattern, std::string_view(value).substr(0, k))) {
+          return value.substr(k);
+        }
+        if (k == 0) {
+          break;
+        }
+      }
+    } else {
+      for (size_t k = 0; k <= n; ++k) {
+        if (GlobMatch(pattern, std::string_view(value).substr(0, k))) {
+          return value.substr(k);
+        }
+      }
+    }
+  }
+  return value;  // No match: unchanged.
+}
+
 bool HasGlobChars(std::string_view pattern) {
   for (size_t i = 0; i < pattern.size(); ++i) {
     char c = pattern[i];

@@ -18,6 +18,12 @@ class FileSystem;
 // negation, '\' escapes. Whole-string semantics.
 bool GlobMatch(std::string_view pattern, std::string_view text);
 
+// POSIX pattern removal on a concrete string: ${value%pattern} (suffix,
+// smallest), ${value%%pattern} (suffix, largest), ${value#pattern} (prefix,
+// smallest), ${value##pattern} (prefix, largest). No match: `value` unchanged.
+std::string RemovePattern(const std::string& value, std::string_view pattern, bool suffix,
+                          bool largest);
+
 // True when the pattern contains an unescaped glob metacharacter.
 bool HasGlobChars(std::string_view pattern);
 

@@ -21,49 +21,6 @@ using syntax::Word;
 using syntax::WordPart;
 using syntax::WordPartKind;
 
-// POSIX pattern removal (shared shape with the symbolic engine's concrete
-// path; duplicated to keep the modules independent).
-std::string RemovePattern(const std::string& value, const std::string& pattern, bool suffix,
-                          bool largest) {
-  size_t n = value.size();
-  if (suffix) {
-    if (largest) {
-      for (size_t k = 0; k <= n; ++k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(k))) {
-          return value.substr(0, k);
-        }
-      }
-    } else {
-      for (size_t k = n;; --k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(k))) {
-          return value.substr(0, k);
-        }
-        if (k == 0) {
-          break;
-        }
-      }
-    }
-  } else {
-    if (largest) {
-      for (size_t k = n;; --k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(0, k))) {
-          return value.substr(k);
-        }
-        if (k == 0) {
-          break;
-        }
-      }
-    } else {
-      for (size_t k = 0; k <= n; ++k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(0, k))) {
-          return value.substr(k);
-        }
-      }
-    }
-  }
-  return value;
-}
-
 }  // namespace
 
 Interpreter::Interpreter(fs::FileSystem* fs, InterpOptions options)
@@ -376,13 +333,13 @@ std::string Interpreter::ExpandParam(const WordPart& part, ExecContext& ctx) {
     case ParamOp::kAlternative:
       return null_or_unset ? "" : arg();
     case ParamOp::kRemSmallSuffix:
-      return RemovePattern(value, arg(), /*suffix=*/true, /*largest=*/false);
+      return fs::RemovePattern(value, arg(), /*suffix=*/true, /*largest=*/false);
     case ParamOp::kRemLargeSuffix:
-      return RemovePattern(value, arg(), /*suffix=*/true, /*largest=*/true);
+      return fs::RemovePattern(value, arg(), /*suffix=*/true, /*largest=*/true);
     case ParamOp::kRemSmallPrefix:
-      return RemovePattern(value, arg(), /*suffix=*/false, /*largest=*/false);
+      return fs::RemovePattern(value, arg(), /*suffix=*/false, /*largest=*/false);
     case ParamOp::kRemLargePrefix:
-      return RemovePattern(value, arg(), /*suffix=*/false, /*largest=*/true);
+      return fs::RemovePattern(value, arg(), /*suffix=*/false, /*largest=*/true);
     case ParamOp::kLength:
       return std::to_string(value.size());
   }
@@ -559,8 +516,11 @@ int Interpreter::RunTestBuiltin(const std::vector<std::string>& args) {
     if (op == "!=") {
       return truth(a != b);
     }
-    long la = std::atol(a.c_str());
-    long lb = std::atol(b.c_str());
+    int64_t la = 0;
+    int64_t lb = 0;
+    if (!ParseInt64(a, &la) || !ParseInt64(b, &lb)) {
+      return 2;  // Not a number or out of range: test's error status.
+    }
     if (op == "-eq") {
       return truth(la == lb);
     }

@@ -630,9 +630,9 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
       std::optional<std::string> r = concrete(rhs);
       TestOutcome o;
       o.description = out.description;
-      if (l.has_value() && r.has_value() && AllDigits(*l) && AllDigits(*r)) {
-        long lv = std::atol(l->c_str());
-        long rv = std::atol(r->c_str());
+      int64_t lv = 0;
+      int64_t rv = 0;
+      if (l.has_value() && r.has_value() && ParseInt64(*l, &lv) && ParseInt64(*r, &rv)) {
         bool truth = op == "-eq"   ? lv == rv
                      : op == "-ne" ? lv != rv
                      : op == "-lt" ? lv < rv

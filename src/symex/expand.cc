@@ -18,50 +18,6 @@ using syntax::Word;
 using syntax::WordPart;
 using syntax::WordPartKind;
 
-// POSIX smallest/largest prefix/suffix pattern removal on a concrete string.
-std::string RemovePattern(const std::string& value, const std::string& pattern, bool suffix,
-                          bool largest) {
-  size_t n = value.size();
-  if (suffix) {
-    // Candidate suffixes value[k..n); smallest = largest k.
-    if (largest) {
-      for (size_t k = 0; k <= n; ++k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(k))) {
-          return value.substr(0, k);
-        }
-      }
-    } else {
-      for (size_t k = n;; --k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(k))) {
-          return value.substr(0, k);
-        }
-        if (k == 0) {
-          break;
-        }
-      }
-    }
-  } else {
-    // Candidate prefixes value[0..k).
-    if (largest) {
-      for (size_t k = n;; --k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(0, k))) {
-          return value.substr(k);
-        }
-        if (k == 0) {
-          break;
-        }
-      }
-    } else {
-      for (size_t k = 0; k <= n; ++k) {
-        if (fs::GlobMatch(pattern, std::string_view(value).substr(0, k))) {
-          return value.substr(k);
-        }
-      }
-    }
-  }
-  return value;  // No match: unchanged.
-}
-
 bool IsSpecialParam(const std::string& name) {
   return name.size() == 1 && std::string_view("#?*@$!-").find(name[0]) != std::string_view::npos;
 }
@@ -375,7 +331,7 @@ SymValue Evaluator::ExpandParam(State& st, const WordPart& part, int depth) {
       std::string pattern;
       if (part.param_arg != nullptr && StaticGlobPattern(*part.param_arg, &pattern) &&
           raw.is_concrete()) {
-        return SymValue::Concrete(RemovePattern(raw.concrete(), pattern, suffix, largest));
+        return SymValue::Concrete(fs::RemovePattern(raw.concrete(), pattern, suffix, largest));
       }
       // Symbolic operand or dynamic pattern: the result is some substring of
       // the original; over-approximate as any line. (The cd model downstream

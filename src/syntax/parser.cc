@@ -1,6 +1,7 @@
 #include "syntax/parser.h"
 
 #include <cctype>
+#include <climits>
 #include <set>
 #include <utility>
 
@@ -750,7 +751,8 @@ class Parser {
       size_t q = pos_;
       int value = 0;
       while (q < src_.size() && std::isdigit(static_cast<unsigned char>(src_[q]))) {
-        value = value * 10 + (src_[q] - '0');
+        // Saturate: a word may start with any number of digits.
+        value = value > (INT_MAX - 9) / 10 ? INT_MAX : value * 10 + (src_[q] - '0');
         ++q;
       }
       if (q < src_.size() && (src_[q] == '<' || src_[q] == '>')) {

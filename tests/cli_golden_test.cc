@@ -145,6 +145,18 @@ TEST_F(CliGoldenTest, JobsFlagSpellings) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   EXPECT_EQ(a, d);
+
+  // Every value flag takes both spellings, --annotations included.
+  fs::path annotations = cache_ / "tool.sasht";
+  fs::create_directories(cache_);
+  std::ofstream(annotations) << "command tool :: /x+/\n";
+  std::string file = " --format=json --no-cache steam_updater.sh";
+  RunResult spaced = RunCli(Sash("analyze --annotations '" + annotations.string() + "'" + file));
+  RunResult joined = RunCli(Sash("analyze --annotations='" + annotations.string() + "'" + file));
+  EXPECT_EQ(spaced.exit_code, 1);
+  EXPECT_EQ(joined.exit_code, spaced.exit_code);
+  EXPECT_EQ(sash::testing::NormalizeJson(joined.output),
+            sash::testing::NormalizeJson(spaced.output));
 }
 
 TEST_F(CliGoldenTest, ExitCodes) {
@@ -157,6 +169,31 @@ TEST_F(CliGoldenTest, ExitCodes) {
   // Findings → 1 (covered above too); usage error → 2.
   EXPECT_EQ(RunCli(Sash("analyze --format=json")).exit_code, 2);       // No inputs.
   EXPECT_EQ(RunCli(Sash("analyze --bogus-flag x.sh")).exit_code, 2);   // Unknown flag.
+
+  // Flags fail closed. verify must block the paper's `rm -rf ~/mine` under
+  // either spelling of --no-rw, and refuse to run at all on a policy flag
+  // it cannot parse, rather than run the script unguarded.
+  fs::path victim = fs::temp_directory_path() / ("sash_cli_victim_" + std::to_string(::getpid()));
+  std::ofstream(victim) << "rm -rf /home/user/mine\n";
+  std::string script = " '" + victim.string() + "'";
+  EXPECT_EQ(RunCli(Sash("verify --no-rw /home/user/mine" + script)).exit_code, 1);
+  EXPECT_EQ(RunCli(Sash("verify --no-rw=/home/user/mine" + script)).exit_code, 1);
+  EXPECT_EQ(RunCli(Sash("verify --no-RW /home/user/mine" + script)).exit_code, 2);
+  EXPECT_EQ(RunCli(Sash("verify --bogus" + script)).exit_code, 2);
+  EXPECT_EQ(RunCli(Sash("verify" + script + " --no-rw")).exit_code, 2);  // Missing value.
+  // A subcommand taking one operand refuses a second instead of ignoring it.
+  EXPECT_EQ(RunCli(Sash("mine --no-cache rm cp")).exit_code, 2);
+  EXPECT_EQ(RunCli(Sash("lint pipeline.sh unset_var.sh")).exit_code, 2);
+  // serve rejects the flag before it binds anything.
+  fs::path socket = cache_ / "d.sock";
+  EXPECT_EQ(RunCli(Sash("serve --bogus --socket '" + socket.string() + "'")).exit_code, 2);
+  EXPECT_FALSE(fs::exists(socket));
+  // run stops parsing at the script: what follows is the script's argv.
+  std::ofstream(victim) << "[ \"$1\" = -x ] && echo got-x\n";
+  RunResult run = RunCli(Sash("run" + script + " -x"));
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_EQ(run.output, "got-x\n");
+  fs::remove(victim);
 
   // Partial batch: the unreadable file is reported, the readable one is
   // still analyzed, and the exit code is 2 (I/O beats findings).

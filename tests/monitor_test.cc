@@ -65,6 +65,12 @@ TEST(Interp, ControlFlow) {
   EXPECT_EQ(RunScript(fs, "case abc in a*) echo glob ;; *) echo other ;; esac\n").out, "glob\n");
   EXPECT_EQ(RunScript(fs, "true && echo t || echo f\n").out, "t\n");
   EXPECT_EQ(RunScript(fs, "false && echo t || echo f\n").out, "f\n");
+  // Numeric operators need integers: a non-number or an out-of-range value
+  // is test's error status 2, not a silent 0 or a saturated long.
+  EXPECT_EQ(RunScript(fs, "[ abc -eq 0 ]; echo $?\n").out, "2\n");
+  EXPECT_EQ(RunScript(fs, "[ 99999999999999999999 -gt 0 ]; echo $?\n").out, "2\n");
+  EXPECT_EQ(RunScript(fs, "[ -9223372036854775808 -lt 9223372036854775807 ]; echo $?\n").out,
+            "0\n");
 }
 
 TEST(Interp, FunctionsAndArgs) {

@@ -1,17 +1,6 @@
-// The sash command-line tool.
-//
-//   sash analyze [-jN] [--cache-dir DIR] [--no-cache] [--lint] [--no-symex]
-//                [--no-stream] [--stats] [--format=json] [--trace-out FILE]
-//                [--journal FILE] <script.sh|dir>...
-//   sash profile [-jN] [--journal FILE] [--trace-out FILE] [--folded FILE]
-//                <script.sh|dir>...       (batch under full instrumentation)
-//   sash report [--journal FILE] [batch.json|bench.json]...
-//   sash lint <script.sh>
-//   sash run <script.sh> [args...]        (sandboxed; nothing touches disk)
-//   sash verify --no-rw <path> [--no-read <path>] <script.sh>
-//   sash mine [--no-cache] [--cache-dir DIR] [command]
-//   sash typeof <pipeline string>
-//   sash version
+// The sash command-line tool. `sash` with no arguments prints the usage:
+// every subcommand with its options, each generated from the flag table
+// below, so a flag cannot be accepted without being listed.
 //
 // Reads from stdin when the script operand is "-". Directory operands expand
 // to their *.sh files, recursively. Multiple operands (or -j > 1) run as a
@@ -25,9 +14,10 @@
 // findings, else 0.
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 
@@ -49,88 +39,269 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: sash <command> [options]\n"
-               "  analyze [-jN|--jobs N] [--cache-dir DIR] [--no-cache]\n"
-               "          [--lint] [--no-symex] [--no-stream] [--idempotence] [--coach]\n"
-               "          [--annotations file.sasht] [--stats] [--format=text|json]\n"
-               "          [--deadline-ms N] [--fail-fast] [--max-input-bytes N]\n"
-               "          [--isolate] [--max-rss-mb N] [--worker-cpu-s N]\n"
-               "          [--trace-out trace.json] [--journal events.jsonl]\n"
-               "          [--via SOCKET [--fallback local|fail]]\n"
-               "          <script.sh|dir>...\n"
-               "  serve --socket PATH [-jN|--jobs N] [--cache-dir DIR] [--no-cache]\n"
-               "          [--pidfile PATH] [--max-pending N] [--max-connections N]\n"
-               "          [--deadline-cap-ms N] [--default-budget-ms N]\n"
-               "          [--idle-timeout-ms N] [--io-timeout-ms N]\n"
-               "          [--drain-deadline-ms N] [--max-frame-bytes N]\n"
-               "          [--isolate] [--max-rss-mb N] [--worker-cpu-s N]\n"
-               "          [--supervise [--max-restarts N] [--heartbeat-ms N]]\n"
-               "          [--annotations file.sasht] [--no-warmup] [--stats]\n"
-               "          [--journal events.jsonl]\n"
-               "  profile [-jN|--jobs N] [--cache-dir DIR] [--no-cache]\n"
-               "          [--journal events.jsonl] [--trace-out trace.json]\n"
-               "          [--folded profile.folded] <script.sh|dir>...\n"
-               "  report  [--journal events.jsonl] [batch.json|bench.json]...\n"
-               "  lint <script.sh>\n"
-               "  run <script.sh> [args...]\n"
-               "  verify [--no-rw PATH]... [--no-read PATH]... <script.sh>\n"
-               "  mine [--no-cache] [--cache-dir DIR] [command]\n"
-               "  typeof '<pipeline>'\n"
-               "  version\n"
-               "exit codes: 0 clean, 1 findings (warnings or worse), 2 usage/IO error\n"
-               "batch: all readable inputs are analyzed; exit 2 if any input was\n"
-               "unreadable, failed, or timed out (partial batch), else 1 if any file\n"
-               "had findings, else 0. --deadline-ms bounds each file's analysis (an\n"
-               "expired file keeps its partial report, status \"timed_out\");\n"
-               "--fail-fast stops scheduling new files after the first failure.\n"
-               "--isolate runs each file's analysis in a forked, rlimit-capped worker\n"
-               "(--max-rss-mb / --worker-cpu-s imply it): a crashing or OOMing file\n"
-               "gets status \"crashed\" (exit 2) with a repro banked under\n"
-               "<cache-dir>/quarantine/, and its neighbors are untouched\n"
-               "serve: exit 0 after a graceful drain (SIGTERM/SIGINT), 2 on startup\n"
-               "failure. --supervise restarts the daemon on abnormal death (bounded\n"
-               "backoff, heartbeat watchdog); exit 1 when --max-restarts is exhausted.\n"
-               "analyze --via uses a resident server (bounded retry with\n"
-               "backoff); --fallback local degrades to in-process analysis when the\n"
-               "server is unreachable, --fallback fail (default) exits 2\n");
-  return 2;
-}
+int Usage();
 
-// Strict numeric-flag parsing: non-numeric, out-of-range, and overflowing
-// values are rejected with a diagnostic (callers exit 2), where atoi/atoll
-// would silently produce 0 or saturate.
-bool NumericFlag(const char* cmd, const char* flag, const std::string& text, int64_t min,
-                 int64_t max, int64_t* out) {
-  int64_t value = 0;
-  if (!sash::ParseInt64(text, &value)) {
-    std::fprintf(stderr, "sash %s: %s expects an integer, got '%s'\n", cmd, flag, text.c_str());
-    return false;
-  }
-  if (value < min || value > max) {
-    std::fprintf(stderr, "sash %s: %s must be between %lld and %lld, got '%s'\n", cmd, flag,
-                 static_cast<long long>(min), static_cast<long long>(max), text.c_str());
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool NumericFlagInt(const char* cmd, const char* flag, const std::string& text, int64_t min,
-                    int64_t max, int* out) {
-  int64_t value = 0;
-  if (!NumericFlag(cmd, flag, text, min, max, &value)) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-// Flag ranges shared by analyze/profile/serve.
+// Flag ranges.
 inline constexpr int64_t kMaxJobs = 4096;
 inline constexpr int64_t kMaxMs = 1000000000;          // ~11.5 days.
 inline constexpr int64_t kMaxBytes = 1LL << 40;        // 1 TiB.
+
+// Every value one invocation's flags can set. Each subcommand reads the
+// fields its flags fill; serve moves `batch` into `server.batch`.
+struct Invocation {
+  sash::batch::BatchOptions batch;
+  sash::serve::ServerOptions server;
+  sash::serve::SupervisorOptions supervisor;
+  sash::monitor::EffectPolicy policy;
+  std::string annotations;  // File whose text becomes batch.annotations_text.
+  std::string journal;
+  std::string trace_out;
+  std::string folded;
+  std::string via;
+  std::string fallback = "fail";
+  std::string format = "text";
+  bool stats = false;
+  bool supervise = false;
+};
+
+// Subcommands that take options, as bits of Flag::commands.
+enum : unsigned {
+  kAnalyze = 1 << 0,
+  kServe = 1 << 1,
+  kProfile = 1 << 2,
+  kReport = 1 << 3,
+  kMine = 1 << 4,
+  kVerify = 1 << 5,
+};
+
+// One option: accepted as `--name VALUE` or `--name=VALUE` (a bool flag
+// takes no value), and `-sVALUE` or `-s VALUE` when it has a short name.
+struct Flag {
+  const char* name;
+  char short_name;          // 0: none.
+  const char* metavar;      // nullptr: a bool flag.
+  unsigned commands;        // The subcommands that accept it.
+  std::function<std::string(const std::string& value)> set;  // Error text, "" when set.
+};
+
+// Strict integer parsing into [0, max]: non-numeric, out-of-range and
+// overflowing values are errors, where atoi/atoll would silently produce 0
+// or saturate.
+std::string ParseCount(const char* flag, const std::string& text, int64_t max, int64_t* out) {
+  if (!sash::ParseInt64(text, out)) {
+    return std::string(flag) + " expects an integer, got '" + text + "'";
+  }
+  if (*out < 0 || *out > max) {
+    return std::string(flag) + " must be between 0 and " + std::to_string(max) + ", got '" +
+           text + "'";
+  }
+  return "";
+}
+
+Flag Bool(const char* name, unsigned commands, bool* out, bool value = true) {
+  return {name, 0, nullptr, commands, [out, value](const std::string&) {
+            *out = value;
+            return std::string();
+          }};
+}
+
+template <typename T>
+Flag Value(const char* name, const char* metavar, unsigned commands, T* out) {
+  return {name, 0, metavar, commands, [out](const std::string& v) {
+            *out = v;
+            return std::string();
+          }};
+}
+
+// Each occurrence appends.
+Flag Repeated(const char* name, const char* metavar, unsigned commands,
+              std::vector<std::string>* out) {
+  return {name, 0, metavar, commands, [out](const std::string& v) {
+            out->push_back(v);
+            return std::string();
+          }};
+}
+
+// `choices` is both the synopsis metavar and the accepted set, '|'-separated.
+Flag Choice(const char* name, const char* choices, unsigned commands, std::string* out) {
+  return {name, 0, choices, commands, [name, choices, out](const std::string& v) {
+            if (("|" + std::string(choices) + "|").find("|" + v + "|") == std::string::npos) {
+              return std::string(name) + " expects one of " + choices + ", got '" + v + "'";
+            }
+            *out = v;
+            return std::string();
+          }};
+}
+
+template <typename T>
+Flag Int(const char* name, unsigned commands, int64_t max, T* out) {
+  return {name, 0, "N", commands, [name, max, out](const std::string& v) {
+            int64_t n = 0;
+            std::string error = ParseCount(name, v, max, &n);
+            if (error.empty()) {
+              *out = static_cast<T>(n);
+            }
+            return error;
+          }};
+}
+
+// The flag table: every option of every subcommand, each declared once and
+// bound to its field of `o`.
+std::vector<Flag> Flags(Invocation& o) {
+  constexpr unsigned kBatch = kAnalyze | kServe | kProfile;
+  constexpr unsigned kWorker = kAnalyze | kServe;
+  sash::batch::BatchOptions& b = o.batch;
+  sash::serve::ServerOptions& s = o.server;
+  return {
+      {"--jobs", 'j', "N", kBatch,
+       [&o](const std::string& v) {
+         int64_t n = 0;
+         std::string error = ParseCount("--jobs", v, kMaxJobs, &n);
+         // A batch sizes its pool from BatchOptions::jobs (default 1), the
+         // server from ServerOptions::jobs (default: one per core).
+         if (error.empty()) {
+           o.batch.jobs = o.server.jobs = static_cast<int>(n);
+         }
+         return error;
+       }},
+      Value("--cache-dir", "DIR", kBatch | kMine, &b.cache_dir),
+      Bool("--no-cache", kBatch | kMine, &b.use_cache, false),
+      Bool("--isolate", kWorker, &b.isolate),
+      Int("--max-rss-mb", kWorker, kMaxBytes >> 20, &b.max_rss_mb),
+      Int("--worker-cpu-s", kWorker, kMaxMs / 1000, &b.worker_cpu_s),
+      Value("--annotations", "file.sasht", kWorker, &o.annotations),
+      Bool("--lint", kAnalyze, &b.analyzer.enable_lint),
+      Bool("--no-symex", kAnalyze, &b.analyzer.enable_symex, false),
+      Bool("--no-stream", kAnalyze, &b.analyzer.enable_stream_types, false),
+      Bool("--idempotence", kAnalyze, &b.analyzer.enable_idempotence_check),
+      Bool("--coach", kAnalyze, &b.analyzer.enable_optimization_coach),
+      Choice("--format", "text|json", kAnalyze, &o.format),
+      Int("--deadline-ms", kAnalyze, kMaxMs, &b.deadline_ms),
+      Bool("--fail-fast", kAnalyze, &b.fail_fast),
+      Int("--max-input-bytes", kAnalyze, kMaxBytes, &b.analyzer.max_input_bytes),
+      Value("--via", "SOCKET", kAnalyze, &o.via),
+      Choice("--fallback", "local|fail", kAnalyze, &o.fallback),
+      Value("--socket", "PATH", kServe, &s.socket_path),
+      Value("--pidfile", "PATH", kServe, &s.pidfile),
+      Int("--max-pending", kServe, 1 << 20, &s.max_pending),
+      Int("--max-connections", kServe, 1 << 20, &s.max_connections),
+      Int("--deadline-cap-ms", kServe, kMaxMs, &s.deadline_cap_ms),
+      Int("--default-budget-ms", kServe, kMaxMs, &s.default_budget_ms),
+      Int("--idle-timeout-ms", kServe, kMaxMs, &s.idle_timeout_ms),
+      Int("--io-timeout-ms", kServe, kMaxMs, &s.io_timeout_ms),
+      Int("--drain-deadline-ms", kServe, kMaxMs, &s.drain_deadline_ms),
+      Int("--max-frame-bytes", kServe, 1LL << 31, &s.max_frame_bytes),
+      Bool("--no-warmup", kServe, &s.warmup, false),
+      Bool("--supervise", kServe, &o.supervise),
+      Int("--max-restarts", kServe, 1 << 20, &o.supervisor.max_restarts),
+      Int("--heartbeat-ms", kServe, kMaxMs, &o.supervisor.heartbeat_interval_ms),
+      Bool("--stats", kAnalyze | kServe, &o.stats),
+      Value("--journal", "events.jsonl", kBatch | kReport, &o.journal),
+      Value("--trace-out", "trace.json", kAnalyze | kProfile, &o.trace_out),
+      Value("--folded", "profile.folded", kProfile, &o.folded),
+      Repeated("--no-rw", "PATH", kVerify, &o.policy.no_write),
+      Repeated("--no-read", "PATH", kVerify, &o.policy.no_read),
+  };
+}
+
+// Operand counts: any at or above the minimum.
+inline constexpr size_t kMany = SIZE_MAX;
+
+struct Subcommand {
+  const char* name;
+  unsigned bit;             // Its bit in Flag::commands; 0: takes no options.
+  const char* operands;     // Synopsis of the operands.
+  size_t min_operands;
+  size_t max_operands;
+  bool passthrough;         // Everything after the first operand is an operand.
+  int (*run)(Invocation& o, const std::vector<std::string>& operands);
+};
+
+// "analyze [-jN|--jobs N] [--cache-dir DIR] ... <script.sh|dir>...",
+// wrapped under the subcommand name.
+std::string Synopsis(const Subcommand& cmd, const std::vector<Flag>& flags) {
+  std::string out = cmd.name;
+  size_t line_start = 0;
+  auto add = [&](const std::string& item) {
+    if (out.size() - line_start + 1 + item.size() > 76) {
+      // Continue at column 10, under the first flag of "  analyze ".
+      out += '\n';
+      line_start = out.size();
+      out += std::string(9, ' ');
+    }
+    out += " " + item;
+  };
+  for (const Flag& f : flags) {
+    if ((f.commands & cmd.bit) == 0) {
+      continue;
+    }
+    std::string item = "[";
+    if (f.short_name != 0) {
+      item += std::string("-") + f.short_name + (f.metavar != nullptr ? f.metavar : "") + "|";
+    }
+    item += f.name;
+    if (f.metavar != nullptr) {
+      item += std::string(" ") + f.metavar;
+    }
+    add(item + "]");
+  }
+  if (*cmd.operands != '\0') {
+    add(cmd.operands);
+  }
+  return out;
+}
+
+// Splits `args` into the flags `cmd` accepts, each applied to its field, and
+// operands. Reports the first unknown option, malformed or missing value,
+// or unacceptable operand count, and returns false (the caller exits 2).
+bool ParseArgs(const Subcommand& cmd, const std::vector<Flag>& flags,
+               const std::vector<std::string>& args, std::vector<std::string>* operands) {
+  auto fail = [&](const std::string& message) {
+    std::fprintf(stderr, "sash %s: %s\n", cmd.name, message.c_str());
+    return false;
+  };
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (a.size() < 2 || a[0] != '-' || (cmd.passthrough && !operands->empty())) {
+      operands->push_back(a);
+      continue;
+    }
+    const bool is_short = a[1] != '-';
+    const size_t eq = is_short ? 2 : a.find('=');
+    const std::string name = a.substr(0, eq);
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags) {
+      if ((f.commands & cmd.bit) != 0 &&
+          (is_short ? f.short_name != 0 && name[1] == f.short_name : name == f.name)) {
+        flag = &f;
+        break;
+      }
+    }
+    if (flag == nullptr) {
+      return fail("unknown option " + a);
+    }
+    std::string value;
+    if (flag->metavar == nullptr) {
+      if (eq < a.size()) {
+        return fail(std::string(flag->name) + " takes no value");
+      }
+    } else if (eq < a.size()) {
+      value = a.substr(is_short ? eq : eq + 1);
+    } else if (i + 1 < args.size()) {
+      value = args[++i];
+    } else {
+      return fail(std::string(flag->name) + " requires a value");
+    }
+    if (std::string error = flag->set(value); !error.empty()) {
+      return fail(error);
+    }
+  }
+  if (operands->size() < cmd.min_operands || operands->size() > cmd.max_operands) {
+    std::fprintf(stderr, "usage: sash %s\n", Synopsis(cmd, flags).c_str());
+    return false;
+  }
+  return true;
+}
 
 // Human-readable stats table, written to stderr so it never mixes with the
 // report on stdout.
@@ -296,152 +467,11 @@ int AnalyzeVia(const std::string& socket_path, bool fallback_local,
   return 0;
 }
 
-int CmdAnalyze(const std::vector<std::string>& args) {
-  sash::batch::BatchOptions batch;
-  std::string annotations_file;
-  std::string trace_out;
-  std::string journal_out;
-  std::string via;
-  std::string fallback = "fail";
-  std::vector<std::string> inputs;
-  bool stats = false;
-  bool json = false;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--annotations" && i + 1 < args.size()) {
-      annotations_file = args[++i];
-    } else if (a == "--trace-out" && i + 1 < args.size()) {
-      trace_out = args[++i];
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(std::strlen("--trace-out="));
-    } else if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = a.substr(std::strlen("--journal="));
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--format=json") {
-      json = true;
-    } else if (a == "--format=text") {
-      json = false;
-    } else if (a == "--format" && i + 1 < args.size()) {
-      const std::string& fmt = args[++i];
-      if (fmt == "json") {
-        json = true;
-      } else if (fmt == "text") {
-        json = false;
-      } else {
-        std::fprintf(stderr, "sash analyze: unknown format %s\n", fmt.c_str());
-        return 2;
-      }
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash analyze: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!NumericFlagInt("analyze", "--jobs", args[++i], 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!NumericFlagInt("analyze", "-j", a.substr(2), 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!NumericFlagInt("analyze", "--jobs", a.substr(std::strlen("--jobs=")), 0, kMaxJobs,
-                          &batch.jobs)) {
-        return 2;
-      }
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      batch.cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (a == "--no-cache") {
-      batch.use_cache = false;
-    } else if (a == "--deadline-ms" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--deadline-ms", args[++i], 0, kMaxMs, &batch.deadline_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      if (!NumericFlag("analyze", "--deadline-ms", a.substr(std::strlen("--deadline-ms=")), 0,
-                       kMaxMs, &batch.deadline_ms)) {
-        return 2;
-      }
-    } else if (a == "--max-input-bytes" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--max-input-bytes", args[++i], 0, kMaxBytes,
-                       &batch.analyzer.max_input_bytes)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-input-bytes=", 0) == 0) {
-      if (!NumericFlag("analyze", "--max-input-bytes", a.substr(std::strlen("--max-input-bytes=")),
-                       0, kMaxBytes, &batch.analyzer.max_input_bytes)) {
-        return 2;
-      }
-    } else if (a == "--via" && i + 1 < args.size()) {
-      via = args[++i];
-    } else if (a.rfind("--via=", 0) == 0) {
-      via = a.substr(std::strlen("--via="));
-    } else if (a == "--fallback" && i + 1 < args.size()) {
-      fallback = args[++i];
-    } else if (a.rfind("--fallback=", 0) == 0) {
-      fallback = a.substr(std::strlen("--fallback="));
-    } else if (a == "--fail-fast") {
-      batch.fail_fast = true;
-    } else if (a == "--isolate") {
-      batch.isolate = true;
-    } else if (a == "--max-rss-mb" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--max-rss-mb", args[++i], 0, kMaxBytes >> 20,
-                       &batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-rss-mb=", 0) == 0) {
-      if (!NumericFlag("analyze", "--max-rss-mb", a.substr(std::strlen("--max-rss-mb=")), 0,
-                       kMaxBytes >> 20, &batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a == "--worker-cpu-s" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--worker-cpu-s", args[++i], 0, kMaxMs / 1000,
-                       &batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a.rfind("--worker-cpu-s=", 0) == 0) {
-      if (!NumericFlag("analyze", "--worker-cpu-s", a.substr(std::strlen("--worker-cpu-s=")), 0,
-                       kMaxMs / 1000, &batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a == "--idempotence") {
-      batch.analyzer.enable_idempotence_check = true;
-    } else if (a == "--coach") {
-      batch.analyzer.enable_optimization_coach = true;
-    } else if (a == "--lint") {
-      batch.analyzer.enable_lint = true;
-    } else if (a == "--no-symex") {
-      batch.analyzer.enable_symex = false;
-    } else if (a == "--no-stream") {
-      batch.analyzer.enable_stream_types = false;
-    } else if (!a.empty() && a[0] == '-' && a != "-") {
-      std::fprintf(stderr, "sash analyze: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      inputs.push_back(a);
-    }
-  }
-  if (inputs.empty()) {
-    return Usage();
-  }
-  if (fallback != "fail" && fallback != "local") {
-    std::fprintf(stderr, "sash analyze: --fallback expects 'local' or 'fail', got '%s'\n",
-                 fallback.c_str());
-    return 2;
-  }
-  // Resource caps only apply inside a worker process, so they imply one.
-  if (batch.max_rss_mb > 0 || batch.worker_cpu_s > 0) {
-    batch.isolate = true;
-  }
-
-  if (!annotations_file.empty() && !ReadSource(annotations_file, &batch.annotations_text)) {
-    return 2;
-  }
-
+int CmdAnalyze(Invocation& o, const std::vector<std::string>& inputs) {
+  sash::batch::BatchOptions& batch = o.batch;
+  const std::string& trace_out = o.trace_out;
+  const std::string& journal_out = o.journal;
+  const bool json = o.format == "json";
   std::vector<std::string> files = sash::batch::ExpandInputs(inputs);
   if (files.empty()) {
     std::fprintf(stderr, "sash analyze: no .sh files found under the given inputs\n");
@@ -465,7 +495,7 @@ int CmdAnalyze(const std::vector<std::string>& args) {
   if (!trace_out.empty()) {
     batch.obs.tracer = &tracer;
   }
-  if (stats || json || !trace_out.empty()) {
+  if (o.stats || json || !trace_out.empty()) {
     batch.obs.metrics = &registry;
   }
   if (!journal_out.empty()) {
@@ -477,8 +507,8 @@ int CmdAnalyze(const std::vector<std::string>& args) {
 
   sash::batch::BatchResult result;
   bool via_filled = false;
-  if (!via.empty()) {
-    int rc = AnalyzeVia(via, fallback == "local", batch, files, &result);
+  if (!o.via.empty()) {
+    int rc = AnalyzeVia(o.via, o.fallback == "local", batch, files, &result);
     if (rc == 2) {
       return 2;
     }
@@ -523,7 +553,7 @@ int CmdAnalyze(const std::vector<std::string>& args) {
       std::fprintf(stderr, "sash: %s\n", f.error.c_str());
     }
   }
-  if (stats) {
+  if (o.stats) {
     PrintStats(registry);
   }
   if (!trace_out.empty() && !tracer.WriteChromeJson(trace_out)) {
@@ -541,10 +571,7 @@ int CmdAnalyze(const std::vector<std::string>& args) {
   return result.ExitCode();
 }
 
-int CmdLint(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return Usage();
-  }
+int CmdLint(Invocation&, const std::vector<std::string>& args) {
   std::string source;
   if (!ReadSource(args[0], &source)) {
     return 2;
@@ -560,10 +587,7 @@ int CmdLint(const std::vector<std::string>& args) {
   return findings.empty() && parsed.ok() ? 0 : 1;
 }
 
-int CmdRun(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return Usage();
-  }
+int CmdRun(Invocation&, const std::vector<std::string>& args) {
   std::string source;
   if (!ReadSource(args[0], &source)) {
     return 2;
@@ -588,23 +612,10 @@ int CmdRun(const std::vector<std::string>& args) {
   return result.exit_code;
 }
 
-int CmdVerify(const std::vector<std::string>& args) {
-  sash::monitor::EffectPolicy policy;
-  std::string file;
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--no-rw" && i + 1 < args.size()) {
-      policy.no_write.push_back(args[++i]);
-    } else if (args[i] == "--no-read" && i + 1 < args.size()) {
-      policy.no_read.push_back(args[++i]);
-    } else {
-      file = args[i];
-    }
-  }
-  if (file.empty()) {
-    return Usage();
-  }
+int CmdVerify(Invocation& o, const std::vector<std::string>& args) {
+  const sash::monitor::EffectPolicy& policy = o.policy;
   std::string source;
-  if (!ReadSource(file, &source)) {
+  if (!ReadSource(args[0], &source)) {
     return 2;
   }
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(source);
@@ -626,28 +637,11 @@ int CmdVerify(const std::vector<std::string>& args) {
   return report.static_findings.empty() ? 0 : 1;
 }
 
-int CmdMine(const std::vector<std::string>& args) {
-  bool use_cache = true;
-  std::filesystem::path cache_dir;
-  std::string command;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--no-cache") {
-      use_cache = false;
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash mine: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      command = a;
-    }
-  }
+int CmdMine(Invocation& inv, const std::vector<std::string>& args) {
+  const std::string command = args.empty() ? "" : args[0];
   std::optional<sash::batch::Cache> cache;
-  if (use_cache) {
-    cache.emplace(cache_dir);
+  if (inv.batch.use_cache) {
+    cache.emplace(inv.batch.cache_dir);
   }
   sash::batch::Cache* cache_ptr = cache.has_value() ? &*cache : nullptr;
   if (!command.empty()) {
@@ -673,59 +667,11 @@ int CmdMine(const std::vector<std::string>& args) {
 // the journal (sash-events-v1 JSONL), a Chrome trace with per-worker lanes
 // and counter tracks, and a collapsed-stack file for flamegraph tools. The
 // contention/utilization summary prints to stdout.
-int CmdProfile(const std::vector<std::string>& args) {
-  sash::batch::BatchOptions batch;
-  std::string journal_out = "sash-journal.jsonl";
-  std::string trace_out = "sash-trace.json";
-  std::string folded_out = "sash-profile.folded";
-  std::vector<std::string> inputs;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = a.substr(std::strlen("--journal="));
-    } else if (a == "--trace-out" && i + 1 < args.size()) {
-      trace_out = args[++i];
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(std::strlen("--trace-out="));
-    } else if (a == "--folded" && i + 1 < args.size()) {
-      folded_out = args[++i];
-    } else if (a.rfind("--folded=", 0) == 0) {
-      folded_out = a.substr(std::strlen("--folded="));
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash profile: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!NumericFlagInt("profile", "--jobs", args[++i], 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!NumericFlagInt("profile", "-j", a.substr(2), 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!NumericFlagInt("profile", "--jobs", a.substr(std::strlen("--jobs=")), 0, kMaxJobs,
-                          &batch.jobs)) {
-        return 2;
-      }
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      batch.cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (a == "--no-cache") {
-      batch.use_cache = false;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash profile: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      inputs.push_back(a);
-    }
-  }
-  if (inputs.empty()) {
-    return Usage();
-  }
+int CmdProfile(Invocation& o, const std::vector<std::string>& inputs) {
+  sash::batch::BatchOptions& batch = o.batch;
+  const std::string journal_out = o.journal.empty() ? "sash-journal.jsonl" : o.journal;
+  const std::string trace_out = o.trace_out.empty() ? "sash-trace.json" : o.trace_out;
+  const std::string folded_out = o.folded.empty() ? "sash-profile.folded" : o.folded;
   std::vector<std::string> files = sash::batch::ExpandInputs(inputs);
   if (files.empty()) {
     std::fprintf(stderr, "sash profile: no .sh files found under the given inputs\n");
@@ -791,22 +737,8 @@ int CmdProfile(const std::vector<std::string>& args) {
 // `sash report`: aggregate profiling/bench artifacts into a human summary.
 // A --journal file yields the contention/worker/phase report; sash-batch-v1
 // and sash-bench-v1 JSON documents are summarized after it.
-int CmdReport(const std::vector<std::string>& args) {
-  std::string journal_path;
-  std::vector<std::string> json_paths;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--journal" && i + 1 < args.size()) {
-      journal_path = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_path = a.substr(std::strlen("--journal="));
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash report: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      json_paths.push_back(a);
-    }
-  }
+int CmdReport(Invocation& o, const std::vector<std::string>& json_paths) {
+  const std::string& journal_path = o.journal;
   if (journal_path.empty() && json_paths.empty()) {
     return Usage();
   }
@@ -884,200 +816,22 @@ int CmdReport(const std::vector<std::string>& args) {
   return 0;
 }
 
-// `sash serve`: the resident analysis daemon (this PR's tentpole). Binds a
-// unix socket, keeps every warm structure resident, and answers sash-rpc-v1
-// requests until a graceful drain (SIGTERM/SIGINT or an rpc `shutdown`)
-// completes — then exits 0. Startup failures (live sibling on the socket,
-// unwritable pidfile) exit 2.
-int CmdServe(const std::vector<std::string>& args) {
-  sash::serve::ServerOptions options;
-  sash::serve::SupervisorOptions sup_options;
-  std::string annotations_file;
-  std::string journal_out;
-  bool stats = false;
-  bool supervise = false;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value_of = [&](const char* prefix) { return a.substr(std::strlen(prefix)); };
-    auto int64_flag = [&](const char* flag, const std::string& text, int64_t max, int64_t* out) {
-      return NumericFlag("serve", flag, text, 0, max, out);
-    };
-    auto int_flag = [&](const char* flag, const std::string& text, int64_t max, int* out) {
-      return NumericFlagInt("serve", flag, text, 0, max, out);
-    };
-    if (a == "--socket" && i + 1 < args.size()) {
-      options.socket_path = args[++i];
-    } else if (a.rfind("--socket=", 0) == 0) {
-      options.socket_path = value_of("--socket=");
-    } else if (a == "--pidfile" && i + 1 < args.size()) {
-      options.pidfile = args[++i];
-    } else if (a.rfind("--pidfile=", 0) == 0) {
-      options.pidfile = value_of("--pidfile=");
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash serve: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!int_flag("--jobs", args[++i], kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!int_flag("-j", a.substr(2), kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!int_flag("--jobs", value_of("--jobs="), kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a == "--max-pending" && i + 1 < args.size()) {
-      if (!int_flag("--max-pending", args[++i], 1 << 20, &options.max_pending)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-pending=", 0) == 0) {
-      if (!int_flag("--max-pending", value_of("--max-pending="), 1 << 20,
-                    &options.max_pending)) {
-        return 2;
-      }
-    } else if (a == "--max-connections" && i + 1 < args.size()) {
-      if (!int_flag("--max-connections", args[++i], 1 << 20, &options.max_connections)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-connections=", 0) == 0) {
-      if (!int_flag("--max-connections", value_of("--max-connections="), 1 << 20,
-                    &options.max_connections)) {
-        return 2;
-      }
-    } else if (a == "--deadline-cap-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--deadline-cap-ms", args[++i], kMaxMs, &options.deadline_cap_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--deadline-cap-ms=", 0) == 0) {
-      if (!int64_flag("--deadline-cap-ms", value_of("--deadline-cap-ms="), kMaxMs,
-                      &options.deadline_cap_ms)) {
-        return 2;
-      }
-    } else if (a == "--default-budget-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--default-budget-ms", args[++i], kMaxMs, &options.default_budget_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--default-budget-ms=", 0) == 0) {
-      if (!int64_flag("--default-budget-ms", value_of("--default-budget-ms="), kMaxMs,
-                      &options.default_budget_ms)) {
-        return 2;
-      }
-    } else if (a == "--idle-timeout-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--idle-timeout-ms", args[++i], kMaxMs, &options.idle_timeout_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--idle-timeout-ms=", 0) == 0) {
-      if (!int64_flag("--idle-timeout-ms", value_of("--idle-timeout-ms="), kMaxMs,
-                      &options.idle_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--io-timeout-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--io-timeout-ms", args[++i], kMaxMs, &options.io_timeout_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--io-timeout-ms=", 0) == 0) {
-      if (!int64_flag("--io-timeout-ms", value_of("--io-timeout-ms="), kMaxMs,
-                      &options.io_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--drain-deadline-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--drain-deadline-ms", args[++i], kMaxMs, &options.drain_deadline_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--drain-deadline-ms=", 0) == 0) {
-      if (!int64_flag("--drain-deadline-ms", value_of("--drain-deadline-ms="), kMaxMs,
-                      &options.drain_deadline_ms)) {
-        return 2;
-      }
-    } else if (a == "--max-frame-bytes" && i + 1 < args.size()) {
-      int64_t v = 0;
-      if (!int64_flag("--max-frame-bytes", args[++i], 1LL << 31, &v)) {
-        return 2;
-      }
-      options.max_frame_bytes = static_cast<uint32_t>(v);
-    } else if (a.rfind("--max-frame-bytes=", 0) == 0) {
-      int64_t v = 0;
-      if (!int64_flag("--max-frame-bytes", value_of("--max-frame-bytes="), 1LL << 31, &v)) {
-        return 2;
-      }
-      options.max_frame_bytes = static_cast<uint32_t>(v);
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      options.batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      options.batch.cache_dir = value_of("--cache-dir=");
-    } else if (a == "--no-cache") {
-      options.batch.use_cache = false;
-    } else if (a == "--annotations" && i + 1 < args.size()) {
-      annotations_file = args[++i];
-    } else if (a == "--no-warmup") {
-      options.warmup = false;
-    } else if (a == "--isolate") {
-      options.batch.isolate = true;
-    } else if (a == "--max-rss-mb" && i + 1 < args.size()) {
-      if (!int64_flag("--max-rss-mb", args[++i], kMaxBytes >> 20, &options.batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-rss-mb=", 0) == 0) {
-      if (!int64_flag("--max-rss-mb", value_of("--max-rss-mb="), kMaxBytes >> 20,
-                      &options.batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a == "--worker-cpu-s" && i + 1 < args.size()) {
-      if (!int64_flag("--worker-cpu-s", args[++i], kMaxMs / 1000, &options.batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a.rfind("--worker-cpu-s=", 0) == 0) {
-      if (!int64_flag("--worker-cpu-s", value_of("--worker-cpu-s="), kMaxMs / 1000,
-                      &options.batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a == "--supervise") {
-      supervise = true;
-    } else if (a == "--max-restarts" && i + 1 < args.size()) {
-      if (!int_flag("--max-restarts", args[++i], 1 << 20, &sup_options.max_restarts)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-restarts=", 0) == 0) {
-      if (!int_flag("--max-restarts", value_of("--max-restarts="), 1 << 20,
-                    &sup_options.max_restarts)) {
-        return 2;
-      }
-    } else if (a == "--heartbeat-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--heartbeat-ms", args[++i], kMaxMs, &sup_options.heartbeat_interval_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--heartbeat-ms=", 0) == 0) {
-      if (!int64_flag("--heartbeat-ms", value_of("--heartbeat-ms="), kMaxMs,
-                      &sup_options.heartbeat_interval_ms)) {
-        return 2;
-      }
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = value_of("--journal=");
-    } else {
-      std::fprintf(stderr, "sash serve: unknown option %s\n", a.c_str());
-      return 2;
-    }
-  }
+// `sash serve`: the resident analysis daemon. Binds a unix socket, keeps
+// every warm structure resident, and answers sash-rpc-v1 requests until a
+// graceful drain (SIGTERM/SIGINT or an rpc `shutdown`) completes — then
+// exits 0. Startup failures (live sibling on the socket, unwritable pidfile)
+// exit 2.
+int CmdServe(Invocation& o, const std::vector<std::string>&) {
+  sash::serve::ServerOptions options = std::move(o.server);
+  options.batch = std::move(o.batch);
+  sash::serve::SupervisorOptions& sup_options = o.supervisor;
+  const std::string& journal_out = o.journal;
   if (options.socket_path.empty()) {
     std::fprintf(stderr, "sash serve: --socket PATH is required\n");
     return Usage();
   }
-  if (!annotations_file.empty() &&
-      !ReadSource(annotations_file, &options.batch.annotations_text)) {
-    return 2;
-  }
-  if (options.batch.max_rss_mb > 0 || options.batch.worker_cpu_s > 0) {
-    options.batch.isolate = true;  // Caps only apply inside a worker.
-  }
 
-  if (supervise) {
+  if (o.supervise) {
     // Self-healing mode: the daemon runs in a child; this process only
     // watches, restarts, and forwards signals. The pidfile (written by the
     // child) names the daemon, not the supervisor. Exit 0 after the daemon's
@@ -1129,7 +883,7 @@ int CmdServe(const std::vector<std::string>& args) {
                static_cast<long long>(final_stats.shed),
                static_cast<long long>(final_stats.timeouts),
                static_cast<long long>(final_stats.drain_cancelled));
-  if (stats) {
+  if (o.stats) {
     PrintStats(registry);
   }
   if (!journal_out.empty() && !journal.WriteJsonl(journal_out)) {
@@ -1139,10 +893,7 @@ int CmdServe(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdTypeof(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return Usage();
-  }
+int CmdTypeof(Invocation&, const std::vector<std::string>& args) {
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(args[0]);
   if (!parsed.ok() || parsed.program.body == nullptr) {
     std::fprintf(stderr, "sash typeof: cannot parse pipeline\n");
@@ -1163,44 +914,78 @@ int CmdTypeof(const std::vector<std::string>& args) {
   return report.has_dead_stream || report.has_type_error ? 1 : 0;
 }
 
+int CmdVersion(Invocation&, const std::vector<std::string>&) {
+  std::printf("sash %s\n", sash::core::kVersion);
+  return 0;
+}
+
+constexpr Subcommand kSubcommands[] = {
+    {"analyze", kAnalyze, "<script.sh|dir>...", 1, kMany, false, CmdAnalyze},
+    {"serve", kServe, "", 0, 0, false, CmdServe},
+    {"profile", kProfile, "<script.sh|dir>...", 1, kMany, false, CmdProfile},
+    {"report", kReport, "[batch.json|bench.json]...", 0, kMany, false, CmdReport},
+    {"lint", 0, "<script.sh>", 1, 1, false, CmdLint},
+    {"run", 0, "<script.sh> [args...]", 1, kMany, true, CmdRun},
+    {"verify", kVerify, "<script.sh>", 1, 1, false, CmdVerify},
+    {"mine", kMine, "[command]", 0, 1, false, CmdMine},
+    {"typeof", 0, "'<pipeline>'", 1, 1, false, CmdTypeof},
+    {"version", 0, "", 0, 0, false, CmdVersion},
+};
+
+int Usage() {
+  Invocation unused;
+  const std::vector<Flag> flags = Flags(unused);
+  std::fprintf(stderr, "usage: sash <command> [options]\n");
+  for (const Subcommand& cmd : kSubcommands) {
+    std::fprintf(stderr, "  %s\n", Synopsis(cmd, flags).c_str());
+  }
+  std::fprintf(stderr,
+               "option values: --flag VALUE or --flag=VALUE (-jN or -j N); an unknown\n"
+               "option, a missing value or a wrong operand count exits 2\n"
+               "exit codes: 0 clean, 1 findings (warnings or worse), 2 usage/IO error\n"
+               "batch: all readable inputs are analyzed; exit 2 if any input was\n"
+               "unreadable, failed, or timed out (partial batch), else 1 if any file\n"
+               "had findings, else 0. --deadline-ms bounds each file's analysis (an\n"
+               "expired file keeps its partial report, status \"timed_out\");\n"
+               "--fail-fast stops scheduling new files after the first failure.\n"
+               "--isolate runs each file's analysis in a forked, rlimit-capped worker\n"
+               "(--max-rss-mb / --worker-cpu-s imply it): a crashing or OOMing file\n"
+               "gets status \"crashed\" (exit 2) with a repro banked under\n"
+               "<cache-dir>/quarantine/, and its neighbors are untouched\n"
+               "serve: --socket is required; exit 0 after a graceful drain\n"
+               "(SIGTERM/SIGINT), 2 on startup failure. --supervise restarts the\n"
+               "daemon on abnormal death (bounded backoff, heartbeat watchdog); exit 1\n"
+               "when --max-restarts is exhausted.\n"
+               "analyze --via uses a resident server (bounded retry with\n"
+               "backoff); --fallback local degrades to in-process analysis when the\n"
+               "server is unreachable, --fallback fail (default) exits 2\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    return Usage();
+  std::string name = argc < 2 ? "" : argv[1];
+  if (name == "--version") {
+    name = "version";
   }
-  std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "analyze") {
-    return CmdAnalyze(args);
-  }
-  if (cmd == "lint") {
-    return CmdLint(args);
-  }
-  if (cmd == "run") {
-    return CmdRun(args);
-  }
-  if (cmd == "verify") {
-    return CmdVerify(args);
-  }
-  if (cmd == "mine") {
-    return CmdMine(args);
-  }
-  if (cmd == "profile") {
-    return CmdProfile(args);
-  }
-  if (cmd == "report") {
-    return CmdReport(args);
-  }
-  if (cmd == "serve") {
-    return CmdServe(args);
-  }
-  if (cmd == "typeof") {
-    return CmdTypeof(args);
-  }
-  if (cmd == "version" || cmd == "--version") {
-    std::printf("sash %s\n", sash::core::kVersion);
-    return 0;
+  for (const Subcommand& cmd : kSubcommands) {
+    if (name != cmd.name) {
+      continue;
+    }
+    Invocation o;
+    std::vector<std::string> operands;
+    if (!ParseArgs(cmd, Flags(o), {argv + 2, argv + argc}, &operands)) {
+      return 2;
+    }
+    // Resource caps only apply inside a worker process, so they imply one.
+    if (o.batch.max_rss_mb > 0 || o.batch.worker_cpu_s > 0) {
+      o.batch.isolate = true;
+    }
+    if (!o.annotations.empty() && !ReadSource(o.annotations, &o.batch.annotations_text)) {
+      return 2;
+    }
+    return cmd.run(o, operands);
   }
   return Usage();
 }
