@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "batch/commit_queue.h"
 #include "batch/isolate.h"
 #include "obs/procstat.h"
 #include "util/faultinject.h"
@@ -134,8 +133,7 @@ FileStatus ClassifyDegraded(std::string_view reason) {
 
 FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& path,
                                const std::string& source, Cache* cache,
-                               util::CancelToken* abort, util::CancelToken* budget,
-                               CacheCommitQueue* commit) {
+                               util::CancelToken* abort, util::CancelToken* budget) {
   obs::StopWatch watch;
   obs::Span span(options.obs.tracer, "analyze:" + path);
   obs::Registry* metrics = options.obs.metrics;
@@ -220,14 +218,7 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   result.warnings_or_worse = static_cast<int64_t>(report.CountSeverity(Severity::kWarning));
 
   if (cache != nullptr && CacheableReason(result.degraded_reason)) {
-    // Encoding (codec + checksum) stays on the worker — it parallelizes;
-    // only the file I/O moves to the committer when a queue is attached.
-    std::string payload = EncodeAnalysisEntry(key, result);
-    if (commit != nullptr) {
-      commit->Enqueue("analysis", std::move(key), std::move(payload));
-    } else {
-      cache->Put("analysis", key, payload);
-    }
+    cache->Put("analysis", key, EncodeAnalysisEntry(key, result));
   }
   result.micros = watch.ElapsedMicros();
   return result;
@@ -283,16 +274,6 @@ BatchResult BatchDriver::RunSourcesImpl(
   }
 
   util::ThreadPool pool(options_.jobs, options_.obs);
-  // One committer per batch: workers enqueue encoded entries into per-worker
-  // lanes; the committer alone performs the cache file writes, so
-  // "batch.cache.write" never sits on a worker's critical path. Flushed
-  // below before hit/miss accounting, which preserves the invariant that a
-  // completed run's entries are all durable before Run returns (warm replay
-  // stays byte-identical to the synchronous path).
-  std::optional<CacheCommitQueue> commit;
-  if (cache.has_value()) {
-    commit.emplace(&*cache, pool.size(), metrics);
-  }
   for (size_t i = 0; i < sources.size(); ++i) {
     if (read_errors != nullptr && !(*read_errors)[i].empty()) {
       result.files[i].path = sources[i].first;
@@ -303,18 +284,16 @@ BatchResult BatchDriver::RunSourcesImpl(
       }
       continue;
     }
-    pool.Submit([this, &sources, &result, &cache, &commit, abort, i] {
-      // Isolated files fork a capped worker per analysis and skip the commit
-      // queue — the worker installs its own cache entry synchronously before
-      // exiting, since its memory (and any queued lane) dies with it.
+    pool.Submit([this, &sources, &result, &cache, abort, i] {
+      // Every cache install finishes inside its task (an isolated worker's
+      // before it exits), so once the pool drains the batch is durable.
       FileResult file =
           options_.isolate
               ? AnalyzeSourceIsolated(options_, sources[i].first, sources[i].second,
                                       cache.has_value() ? &*cache : nullptr, abort)
               : AnalyzeSourceCached(options_, sources[i].first, sources[i].second,
                                     cache.has_value() ? &*cache : nullptr, abort,
-                                    /*budget=*/nullptr,
-                                    commit.has_value() ? &*commit : nullptr);
+                                    /*budget=*/nullptr);
       if (abort != nullptr &&
           (file.status == FileStatus::kFailed || file.status == FileStatus::kTimedOut ||
            file.status == FileStatus::kCrashed)) {
@@ -324,9 +303,6 @@ BatchResult BatchDriver::RunSourcesImpl(
     });
   }
   pool.Wait();
-  if (commit.has_value()) {
-    commit->Flush();
-  }
 
   for (const FileResult& f : result.files) {
     if (options_.use_cache && f.ok) {

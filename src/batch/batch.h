@@ -25,8 +25,6 @@
 
 namespace sash::batch {
 
-class CacheCommitQueue;
-
 // Schema tag of the multi-file CLI/JSON document.
 inline constexpr char kBatchSchema[] = "sash-batch-v1";
 
@@ -138,16 +136,11 @@ std::vector<std::string> ExpandInputs(const std::vector<std::string>& inputs);
 // must have its deadline configured already; it additionally lets an outside
 // agent (the server's drain logic) cancel the analysis mid-flight.
 //
-// `commit` (optional) routes the cold-result cache install through an
-// asynchronous commit queue instead of a synchronous Cache::Put, taking the
-// "batch.cache.write" I/O off the calling worker's critical path. The batch
-// driver passes its per-run queue; the serve path passes nothing and keeps
-// the synchronous install (a resident server wants the entry durable before
-// the response goes out).
+// A cold result is installed with Cache::Put on the calling thread before
+// this returns, so the entry is durable by the time the caller sees it.
 FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& path,
                                const std::string& source, Cache* cache,
-                               util::CancelToken* abort, util::CancelToken* budget,
-                               CacheCommitQueue* commit = nullptr);
+                               util::CancelToken* abort, util::CancelToken* budget);
 
 class BatchDriver {
  public:

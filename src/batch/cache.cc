@@ -247,6 +247,7 @@ Cache::Cache(std::filesystem::path root, obs::Registry* metrics)
   if (metrics_ != nullptr) {
     hits_ = metrics_->counter("cache.hits");
     misses_ = metrics_->counter("cache.misses");
+    committed_ = metrics_->counter("cache.commit.committed");
     retries_ = metrics_->counter("cache.retries");
     write_failures_ = metrics_->counter("cache.write_failures");
     readonly_gauge_ = metrics_->gauge("cache.readonly");
@@ -352,6 +353,9 @@ bool Cache::Put(std::string_view kind, std::string_view key, std::string_view pa
     }
     disk_full = false;
     if (PutOnce(path, payload, attempt, &disk_full)) {
+      if (committed_ != nullptr) {
+        committed_->Add(1);
+      }
       return true;
     }
   }

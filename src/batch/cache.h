@@ -75,7 +75,8 @@ class Cache {
  public:
   // `root` empty selects DefaultRoot(). The directory is created lazily on
   // first Put. Metrics (optional): "cache.hits", "cache.misses",
-  // "cache.write_failures", "cache.retries".
+  // "cache.commit.committed" (successful installs), "cache.write_failures",
+  // "cache.retries".
   explicit Cache(std::filesystem::path root, obs::Registry* metrics = nullptr);
 
   // $SASH_CACHE_DIR, else $XDG_CACHE_HOME/sash, else $HOME/.cache/sash, else
@@ -120,6 +121,7 @@ class Cache {
   // (a probe site itself) once per counter bump on the hot path.
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
+  obs::Counter* committed_ = nullptr;
   obs::Counter* retries_ = nullptr;
   obs::Counter* write_failures_ = nullptr;
   obs::Gauge* readonly_gauge_ = nullptr;

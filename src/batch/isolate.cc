@@ -110,11 +110,17 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
   // the pipe. The fork inherits warm read-only state (interner, specs,
   // pattern caches) for free; cache entries it installs are atomic-rename
   // files the parent's next Get sees normally.
+  //
+  // The child analyzes with no obs hooks: it is forked from one pool thread
+  // while a sibling may hold the metrics registry's or the tracer's lock,
+  // and a child that took either would block until the watchdog killed it.
+  // Whatever it recorded would die with it anyway.
   util::WorkerResult worker = util::RunInWorker(
       [&options, &path, &source, cache]() {
-        FileResult inner =
-            AnalyzeSourceCached(options, path, source, cache, /*abort=*/nullptr,
-                                /*budget=*/nullptr, /*commit=*/nullptr);
+        BatchOptions child = options;
+        child.obs = {};
+        FileResult inner = AnalyzeSourceCached(child, path, source, cache, /*abort=*/nullptr,
+                                               /*budget=*/nullptr);
         return EncodeWorkerResult(inner);
       },
       limits);
@@ -136,8 +142,7 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
       if (metrics != nullptr) {
         metrics->counter("crash.spawn_fallbacks")->Add(1);
       }
-      result = AnalyzeSourceCached(options, path, source, cache, abort,
-                                   /*budget=*/nullptr, /*commit=*/nullptr);
+      result = AnalyzeSourceCached(options, path, source, cache, abort, /*budget=*/nullptr);
       return result;
     }
     case util::WorkerOutcome::kCrashed:

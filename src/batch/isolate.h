@@ -28,7 +28,8 @@ bool DecodeWorkerResult(std::string_view payload, FileResult* result);
 // Runs AnalyzeSourceCached(options, path, source, cache, ...) in a forked
 // worker under options.max_rss_mb / options.worker_cpu_s, with a parent-side
 // wall watchdog derived from options.deadline_ms. The worker installs cache
-// entries itself (synchronously); the parent only decodes the result.
+// entries itself (synchronously) and ignores options.obs; the parent only
+// decodes the result.
 //
 // Outcome mapping (parent side):
 //   worker ok        the worker's FileResult, byte-identical to in-process.

@@ -1,7 +1,6 @@
 #include "monitor/interp.h"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "fs/glob.h"
 #include "fs/path.h"
@@ -20,6 +19,17 @@ using syntax::ParamOp;
 using syntax::Word;
 using syntax::WordPart;
 using syntax::WordPartKind;
+
+// The positional parameter `name` denotes ("1", "12"), or 0 when it denotes
+// none: not a digit string, or too large to index any argument list.
+size_t PositionalIndex(const std::string& name) {
+  int64_t idx = 0;
+  if (name.empty() || !std::isdigit(static_cast<unsigned char>(name[0])) ||
+      !ParseInt64(name, &idx)) {
+    return 0;
+  }
+  return static_cast<size_t>(idx);
+}
 
 }  // namespace
 
@@ -280,11 +290,8 @@ std::string Interpreter::LookupVar(const std::string& name) const {
     return Join(options_.args, " ");
   }
   if (!name.empty() && std::isdigit(static_cast<unsigned char>(name[0]))) {
-    size_t idx = static_cast<size_t>(std::atoi(name.c_str()));
-    if (idx >= 1 && idx <= options_.args.size()) {
-      return options_.args[idx - 1];
-    }
-    return "";
+    size_t idx = PositionalIndex(name);
+    return idx >= 1 && idx <= options_.args.size() ? options_.args[idx - 1] : "";
   }
   if (name == "PWD") {
     return fs_->cwd();
@@ -295,14 +302,11 @@ std::string Interpreter::LookupVar(const std::string& name) const {
 
 std::string Interpreter::ExpandParam(const WordPart& part, ExecContext& ctx) {
   std::string value = LookupVar(part.param_name);
+  const size_t positional = PositionalIndex(part.param_name);
   bool is_set = vars_.count(part.param_name) > 0 ||
                 part.param_name == "?" || part.param_name == "#" || part.param_name == "0" ||
                 part.param_name == "PWD" || part.param_name == "$" ||
-                (!part.param_name.empty() &&
-                 std::isdigit(static_cast<unsigned char>(part.param_name[0])) &&
-                 static_cast<size_t>(std::atoi(part.param_name.c_str())) <=
-                     options_.args.size() &&
-                 std::atoi(part.param_name.c_str()) >= 1);
+                (positional >= 1 && positional <= options_.args.size());
   auto arg = [&]() {
     return part.param_arg != nullptr
                ? ExpandParts(part.param_arg->parts, ctx, /*in_quotes=*/false)
@@ -643,7 +647,10 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   }
   if (name == "exit") {
     exited_ = true;
-    last_exit_ = argv.size() > 1 ? std::atoi(argv[1].c_str()) : last_exit_;
+    if (argv.size() > 1 && !ParseExitStatus(argv[1], &last_exit_)) {
+      EmitErr("sh: exit: Illegal number: " + argv[1] + "\n");
+      last_exit_ = 2;
+    }
     return last_exit_;
   }
   if (name == "export" || name == "readonly" || name == "local") {

@@ -1,7 +1,6 @@
 // Builtin command models: cd, test/[, echo, printf, exit, export, unset,
 // read, shift, pwd, basename, dirname, and a value-precise realpath model.
 // These behave like primitive functions of the shell "language" (§3).
-#include <cctype>
 #include <unordered_set>
 
 #include "fs/path.h"
@@ -16,22 +15,6 @@ namespace {
 using specs::PathState;
 using symfs::Knowledge;
 using symfs::PathKey;
-
-bool AllDigits(const std::string& s) {
-  if (s.empty()) {
-    return false;
-  }
-  size_t start = s[0] == '-' ? 1 : 0;
-  if (start == s.size()) {
-    return false;
-  }
-  for (size_t i = start; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -160,18 +143,12 @@ bool Evaluator::TryBuiltin(const std::string& name, State& st, const syntax::Com
     }
     return true;
   }
-  if (name == "exit") {
-    if (argv.size() > 1 && argv[1].value.is_concrete() && AllDigits(argv[1].value.concrete())) {
-      st.exit = ExitStatus::Known(std::atoi(argv[1].value.concrete().c_str()));
-    }
-    st.terminated = true;
-    out->push_back(std::move(st));
-    return true;
-  }
-  if (name == "return") {
-    // Approximated as termination of the enclosing unit.
-    if (argv.size() > 1 && argv[1].value.is_concrete() && AllDigits(argv[1].value.concrete())) {
-      st.exit = ExitStatus::Known(std::atoi(argv[1].value.concrete().c_str()));
+  if (name == "exit" || name == "return") {
+    // `return` is approximated as termination of the enclosing unit. An
+    // operand that is not a status is dash's "Illegal number", status 2.
+    if (argv.size() > 1 && argv[1].value.is_concrete()) {
+      int code = 0;
+      st.exit = ExitStatus::Known(ParseExitStatus(argv[1].value.concrete(), &code) ? code : 2);
     }
     st.terminated = true;
     out->push_back(std::move(st));

@@ -159,4 +159,13 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   return true;
 }
 
+bool ParseExitStatus(std::string_view s, int* status) {
+  int64_t n = 0;
+  if (!ParseInt64(s, &n) || n < 0) {
+    return false;
+  }
+  *status = static_cast<int>(n & 255);
+  return true;
+}
+
 }  // namespace sash

@@ -46,6 +46,11 @@ std::string AsciiLower(std::string_view s);
 // silently return 0 or saturate.
 bool ParseInt64(std::string_view s, int64_t* out);
 
+// An `exit N` / `return N` operand as a shell status: N & 255 for an integer
+// N >= 0 in ParseInt64's syntax. Returns false (leaving *status untouched)
+// for anything else, where dash prints "Illegal number" and uses status 2.
+bool ParseExitStatus(std::string_view s, int* status);
+
 }  // namespace sash
 
 #endif  // SASH_UTIL_STRINGS_H_

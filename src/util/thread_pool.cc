@@ -182,6 +182,4 @@ int64_t ThreadPool::steals() const {
   return total;
 }
 
-int ThreadPool::CurrentWorkerIndex() { return tls_pool != nullptr ? tls_index : -1; }
-
 }  // namespace sash::util

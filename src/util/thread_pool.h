@@ -55,12 +55,6 @@ class ThreadPool {
   // and for the "batch.steals" counter).
   int64_t steals() const;
 
-  // The calling thread's worker slot in the pool it belongs to, or -1 when
-  // the caller is not a pool worker. Lets per-worker data structures (the
-  // batch cache commit queue's lanes) pick a contention-free lane without
-  // the pool having to thread an index through every task closure.
-  static int CurrentWorkerIndex();
-
  private:
   // alignas: each worker's mutex + deque head live on their own cache line.
   // Workers are hammered from two sides (the owner popping, thieves

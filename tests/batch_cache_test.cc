@@ -12,7 +12,6 @@
 
 #include "batch/batch.h"
 #include "batch/cache.h"
-#include "batch/commit_queue.h"
 #include "batch/isolate.h"
 #include "batch/mine_cache.h"
 #include "batch/spec_io.h"
@@ -117,11 +116,9 @@ TEST_F(BatchCacheTest, WarmReportsAreByteIdenticalToColdAcrossCorpus) {
   }
 }
 
-// The commit queue moved cache installs off the workers and onto a single
-// committer thread; this pins the invariant that makes that safe to do: a
-// parallel cold run's Flush-before-return leaves the cache exactly as the
-// synchronous path would have, so a *fresh* driver's warm run serves every
-// file from cache, byte-identical to the cold output.
+// Every cache install finishes inside its task, so a parallel cold run
+// leaves every entry durable when Run returns: a *fresh* driver's warm run
+// serves every file from cache, byte-identical to the cold output.
 TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
   auto corpus = ExampleCorpus();
   std::vector<std::string> files;
@@ -136,10 +133,8 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
   BatchResult cold = cold_driver.Run(files);
   EXPECT_EQ(cold.cache_misses, static_cast<int64_t>(corpus.size()));
 
-  // Every miss went through the queue, and every enqueue was committed by
-  // the time Run returned.
+  // Every miss was installed by the time Run returned.
   obs::MetricsSnapshot snap = metrics.Snapshot();
-  EXPECT_EQ(snap.counters["cache.commit.enqueued"], static_cast<int64_t>(corpus.size()));
   EXPECT_EQ(snap.counters["cache.commit.committed"], static_cast<int64_t>(corpus.size()));
 
   BatchDriver warm_driver(Options(4));  // Fresh driver: only the disk speaks.
@@ -152,46 +147,6 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
     EXPECT_EQ(cold.files[i].report_json, warm.files[i].report_json) << files[i];
     EXPECT_EQ(cold.files[i].report_text, warm.files[i].report_text) << files[i];
   }
-}
-
-// The queue's own contract, exercised directly: concurrent producers on
-// non-pool threads, interleaved flushes, and a drain on destruction.
-TEST_F(BatchCacheTest, CommitQueueDrainsConcurrentProducers) {
-  Cache cache(CacheDir());
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 50;
-  {
-    CacheCommitQueue queue(&cache, kProducers);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([p, &queue] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          std::string key =
-              util::Sha256Hex("commit_queue_" + std::to_string(p) + "_" + std::to_string(i));
-          queue.Enqueue("analysis", key, "payload_" + std::to_string(p * 1000 + i));
-        }
-      });
-    }
-    for (auto& t : producers) {
-      t.join();
-    }
-    queue.Flush();
-    EXPECT_EQ(queue.enqueued(), kProducers * kPerProducer);
-    EXPECT_EQ(queue.committed(), kProducers * kPerProducer);
-    // After Flush every entry is durably readable — not merely queued.
-    for (int p = 0; p < kProducers; ++p) {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::string key =
-            util::Sha256Hex("commit_queue_" + std::to_string(p) + "_" + std::to_string(i));
-        std::optional<std::string> got = cache.Get("analysis", key);
-        ASSERT_TRUE(got.has_value()) << p << ":" << i;
-        EXPECT_EQ(*got, "payload_" + std::to_string(p * 1000 + i));
-      }
-    }
-    // Destructor path: entries enqueued after the last Flush still land.
-    queue.Enqueue("analysis", util::Sha256Hex("commit_queue_last"), "last");
-  }
-  EXPECT_TRUE(cache.Get("analysis", util::Sha256Hex("commit_queue_last")).has_value());
 }
 
 TEST_F(BatchCacheTest, TouchingScriptInvalidatesExactlyThatEntry) {

@@ -80,6 +80,7 @@ TEST(SymbolicConcreteAgreementExit, ExitCodesAgree) {
   const char* scripts[] = {
       "true\n", "false\n", "exit 4\n", "[ a = a ]\n", "[ a = b ]\n",
       "if false; then exit 1; fi\n", "mkdir -p /x && touch /x/f\n",
+      "exit 300\n", "exit abc\n",
   };
   for (const char* script : scripts) {
     syntax::ParseOutput parsed = syntax::Parse(script);

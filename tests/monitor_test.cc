@@ -71,6 +71,16 @@ TEST(Interp, ControlFlow) {
   EXPECT_EQ(RunScript(fs, "[ 99999999999999999999 -gt 0 ]; echo $?\n").out, "2\n");
   EXPECT_EQ(RunScript(fs, "[ -9223372036854775808 -lt 9223372036854775807 ]; echo $?\n").out,
             "0\n");
+  // `exit N` gives N & 255. An operand that is not an integer >= 0 is dash's
+  // "Illegal number" with status 2, not atoi's silent 0 or an overflow.
+  EXPECT_EQ(RunScript(fs, "(exit 300); echo $?\n").out, "44\n");
+  EXPECT_EQ(RunScript(fs, "(exit abc); echo $?\n").out, "2\n");
+  EXPECT_EQ(RunScript(fs, "(exit 99999999999999999999); echo $?\n").out, "2\n");
+  EXPECT_EQ(RunScript(fs, "(exit -1); echo $?\n").out, "2\n");
+  InterpResult bad = RunScript(fs, "exit abc\necho after\n");
+  EXPECT_EQ(bad.exit_code, 2);
+  EXPECT_EQ(bad.out, "");
+  EXPECT_NE(bad.err.find("Illegal number: abc"), std::string::npos) << bad.err;
 }
 
 TEST(Interp, FunctionsAndArgs) {
@@ -79,6 +89,11 @@ TEST(Interp, FunctionsAndArgs) {
   InterpOptions opts;
   opts.args = {"first", "second"};
   EXPECT_EQ(RunScript(fs, "echo $1-$2-$#\n", opts).out, "first-second-2\n");
+  // An index too large for any argument list names no argument.
+  EXPECT_EQ(RunScript(fs, "echo \"[${99999999999999999999}] ${99999999999999999999:-unset}\"\n",
+                      opts)
+                .out,
+            "[] unset\n");
 }
 
 TEST(Interp, FileSystemEffects) {

@@ -6,6 +6,7 @@
 // byte-identical (modulo wall-clock fields) to a fault-free run.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -590,6 +591,42 @@ TEST_F(ResilienceTest, IsolatedWorkerCrashIsQuarantinedNeighborsByteIdentical) {
   meta << meta_in.rdbuf();
   EXPECT_NE(meta.str().find("crashed:SIGSEGV"), std::string::npos);
   EXPECT_NE(meta.str().find("sash-quarantine-v1"), std::string::npos);
+}
+
+// An isolated worker is forked from one pool thread while another thread
+// may hold the metrics registry's lock (a neighbor's crash accounting, or
+// anything else looking up an instrument). A child that took that lock
+// would block until the watchdog killed it, so the child must analyze with
+// no obs hooks at all. A thread hammering the registry makes a fork inside
+// its critical section likely; every file must still come back analyzed.
+TEST_F(ResilienceTest, IsolatedWorkerForkedWhileRegistryLockedCompletes) {
+  Sources sources = GeneratedCorpus(8, /*seed_base=*/43000);
+  obs::Registry registry;
+  BatchOptions options;
+  options.jobs = 2;
+  options.use_cache = false;
+  options.isolate = true;
+  // A stuck child costs its 6 s watchdog, not the 120 s default backstop.
+  options.deadline_ms = 1000;
+  options.obs.metrics = &registry;
+
+  std::atomic<bool> stop{false};
+  std::thread hammer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      registry.counter("test.hammer")->Add(1);
+    }
+  });
+  BatchDriver driver(options);
+  BatchResult result = driver.RunSources(sources);
+  stop.store(true, std::memory_order_relaxed);
+  hammer.join();
+
+  ASSERT_EQ(result.files.size(), sources.size());
+  for (const FileResult& f : result.files) {
+    EXPECT_TRUE(f.ok) << f.path << ": " << f.error;
+    EXPECT_NE(f.status, FileStatus::kCrashed) << f.path << ": " << f.degraded_reason;
+  }
+  EXPECT_EQ(registry.counter("crash.workers")->value(), 0);
 }
 
 // Without --isolate the same =crash plan degrades to an ordinary injected
