@@ -75,8 +75,8 @@ class Cache {
  public:
   // `root` empty selects DefaultRoot(). The directory is created lazily on
   // first Put. Metrics (optional): "cache.hits", "cache.misses",
-  // "cache.commit.committed" (successful installs), "cache.write_failures",
-  // "cache.retries".
+  // "cache.commit.committed" (successful installs in this process),
+  // "cache.write_failures", "cache.retries".
   explicit Cache(std::filesystem::path root, obs::Registry* metrics = nullptr);
 
   // $SASH_CACHE_DIR, else $XDG_CACHE_HOME/sash, else $HOME/.cache/sash, else
@@ -101,6 +101,17 @@ class Cache {
   // short-circuits without paying the retry backoff ("cache.write_failures"
   // still counts each one). Gets are unaffected: warm entries keep serving.
   bool Put(std::string_view kind, std::string_view key, std::string_view payload);
+
+  // Counts a lookup another process made against this cache: an isolated
+  // worker does its Get in the fork, so the parent counts "cache.hits" or
+  // "cache.misses" from the result it decodes. Its installs stay child-side:
+  // "cache.commit.committed" does not move for them.
+  void CountLookup(bool hit) {
+    obs::Counter* counter = hit ? hits_ : misses_;
+    if (counter != nullptr) {
+      counter->Add(1);
+    }
+  }
 
   // True once a persistent disk-full condition demoted writes to no-ops.
   bool read_only() const { return read_only_.load(std::memory_order_acquire); }

@@ -131,6 +131,11 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
         result.status = FileStatus::kFailed;
         result.error = "isolated worker returned an undecodable result";
       }
+      // The worker's Get ran in the fork; count it here, by the same rule
+      // as BatchResult::cache_hits.
+      if (cache != nullptr && result.ok) {
+        cache->CountLookup(result.cached);
+      }
       result.path = path;
       result.micros = watch.ElapsedMicros();
       return result;

@@ -42,7 +42,10 @@ bool DecodeWorkerResult(std::string_view payload, FileResult* result);
 //                    EAGAIN on fork must not fail a healthy script).
 //
 // Metrics: crash.workers, crash.oom, crash.quarantined; journal mark
-// "crash.worker" with the signal number.
+// "crash.worker" with the signal number. A worker's cache lookup counts in
+// the parent's cache.hits / cache.misses (from the decoded `cached` bit of a
+// result with `ok` set); its install does not count in
+// cache.commit.committed, which only the installing process sees.
 FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string& path,
                                  const std::string& source, Cache* cache,
                                  util::CancelToken* abort);

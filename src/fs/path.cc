@@ -1,7 +1,5 @@
 #include "fs/path.h"
 
-#include "util/strings.h"
-
 namespace sash::fs {
 
 bool IsAbsolute(std::string_view path) { return !path.empty() && path.front() == '/'; }
@@ -41,25 +39,44 @@ std::string JoinPath(std::string_view base, std::string_view rel) {
 
 std::string NormalizePath(std::string_view path) {
   const bool absolute = IsAbsolute(path);
-  std::vector<std::string> stack;
-  for (std::string& part : SplitPath(path)) {
-    if (part == ".") {
+  std::string out = absolute ? "/" : "";
+  out.reserve(path.size());
+  // Bytes ".." cannot pop: the root "/", or a relative path's leading "..".
+  size_t floor = out.size();
+  size_t i = 0;
+  while (i < path.size()) {
+    while (i < path.size() && path[i] == '/') {
+      ++i;
+    }
+    size_t start = i;
+    while (i < path.size() && path[i] != '/') {
+      ++i;
+    }
+    std::string_view part = path.substr(start, i - start);
+    if (part.empty() || part == ".") {
       continue;
     }
     if (part == "..") {
-      if (!stack.empty() && stack.back() != "..") {
-        stack.pop_back();
-      } else if (!absolute) {
-        stack.push_back("..");  // Relative paths keep leading "..".
+      if (out.size() > floor) {
+        // Pop the last segment with its separator.
+        size_t slash = out.rfind('/');
+        out.resize(slash == std::string::npos || slash < floor ? floor : slash);
+        continue;
       }
-      continue;
+      if (absolute) {
+        continue;  // ".." at the root stays at the root.
+      }
     }
-    stack.push_back(std::move(part));
+    if (out.size() > (absolute ? 1 : 0)) {
+      out += '/';
+    }
+    out += part;
+    if (part == "..") {
+      floor = out.size();  // Relative paths keep leading "..".
+    }
   }
-  std::string joined = Join(stack, "/");
-  std::string out = absolute ? "/" + joined : joined;
   if (out.empty()) {
-    out = ".";
+    return ".";
   }
   return out;
 }

@@ -66,6 +66,21 @@ bool IsBuiltinName(const std::string& name) {
   return sym.has_value() && builtins->count(*sym) > 0;
 }
 
+// The test as the path-condition notes show it, e.g. "[ '-d' 'x' ]".
+// Leading "!" operands are left out: a negated test is described by the
+// test it negates.
+std::string TestDescription(const std::vector<Expanded>& args) {
+  size_t i = 0;
+  while (i < args.size() && args[i].value.is_concrete() && args[i].value.concrete() == "!") {
+    ++i;
+  }
+  std::string out = "[ ";
+  for (; i < args.size(); ++i) {
+    out += args[i].value.Describe() + " ";
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 bool Evaluator::TryBuiltin(const std::string& name, State& st, const syntax::Command& cmd,
@@ -268,11 +283,11 @@ bool Evaluator::TryBuiltin(const std::string& name, State& st, const syntax::Com
         break;
       case TestOutcome::Verdict::kUnknown: {
         ++stats_->forks;
-        State t = apply(st, outcome.if_true, true);
+        State t = apply(st.Fork(), outcome.if_true, true);
         t.id = NewStateId();
-        t.Assume("assumed " + outcome.description + " is true");
+        t.Assume([&] { return "assumed " + TestDescription(args) + " is true"; });
         State f = apply(std::move(st), outcome.if_false, false);
-        f.Assume("assumed " + outcome.description + " is false");
+        f.Assume([&] { return "assumed " + TestDescription(args) + " is false"; });
         out->push_back(std::move(t));
         out->push_back(std::move(f));
         break;
@@ -297,7 +312,7 @@ std::vector<State> Evaluator::BuiltinCd(State st, const std::vector<Expanded>& a
     // cd "" fails (dash semantics; bash treats it as a no-op — we model the
     // conservative failure, which is also what the Steam trace exhibits).
     st.exit = ExitStatus::Known(1);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   auto success_state = [&](State s) {
@@ -325,35 +340,37 @@ std::vector<State> Evaluator::BuiltinCd(State st, const std::vector<Expanded>& a
   if (key.has_value()) {
     Knowledge k = st.sfs.CheckRequirement(*key, PathState::kIsDir);
     if (k == Knowledge::kKnown) {
-      return {success_state(std::move(st))};
+      return Only(success_state(std::move(st)));
     }
     if (k == Knowledge::kContradiction) {
       Emit(Severity::kWarning, kCodeAlwaysFails, SourceRange{},
            "cd " + target.value.Describe() + " always fails: the target cannot be a directory",
            st);
-      return {failure_state(std::move(st))};
+      return Only(failure_state(std::move(st)));
     }
   }
   if (target.value.CanBeEmpty()) {
     // The empty-target case folds into the failure branch.
   }
   ++stats_->forks;
-  State ok = st;
+  State ok = st.Fork();
   ok.id = NewStateId();
-  ok.Assume("assumed `cd " + target.value.Describe() + "` succeeded");
+  ok.Assume([&] { return "assumed `cd " + target.value.Describe() + "` succeeded"; });
   if (key.has_value()) {
     ok.sfs.Assume(*key, PathState::kIsDir);
     ++stats_->fs_ops;
   }
   State fail = std::move(st);
-  fail.Assume("assumed `cd " + target.value.Describe() + "` failed");
-  return {success_state(std::move(ok)), failure_state(std::move(fail))};
+  fail.Assume([&] { return "assumed `cd " + target.value.Describe() + "` failed"; });
+  std::vector<State> out = Only(success_state(std::move(ok)));
+  out.push_back(failure_state(std::move(fail)));
+  return out;
 }
 
 std::vector<State> Evaluator::BuiltinRealpath(State st, const std::vector<Expanded>& argv) {
   if (argv.size() < 2) {
     st.exit = ExitStatus::Known(1);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   const Expanded& arg = argv[1];
 
@@ -385,36 +402,33 @@ std::vector<State> Evaluator::BuiltinRealpath(State st, const std::vector<Expand
   if (key.has_value()) {
     Knowledge k = st.sfs.CheckRequirement(*key, PathState::kExists);
     if (k == Knowledge::kKnown) {
-      return {success_state(std::move(st))};
+      return Only(success_state(std::move(st)));
     }
     if (k == Knowledge::kContradiction) {
       Emit(Severity::kWarning, kCodeAlwaysFails, SourceRange{},
            "realpath " + arg.value.Describe() + " always fails: the path cannot exist", st);
       st.exit = ExitStatus::Known(1);
-      return {std::move(st)};
+      return Only(std::move(st));
     }
   }
   ++stats_->forks;
-  State ok = st;
+  State ok = st.Fork();
   ok.id = NewStateId();
-  ok.Assume("assumed `realpath " + arg.value.Describe() + "` succeeded");
+  ok.Assume([&] { return "assumed `realpath " + arg.value.Describe() + "` succeeded"; });
   if (key.has_value()) {
     ok.sfs.Assume(*key, PathState::kExists);
     ++stats_->fs_ops;
   }
   State fail = std::move(st);
-  fail.Assume("assumed `realpath " + arg.value.Describe() + "` failed");
+  fail.Assume([&] { return "assumed `realpath " + arg.value.Describe() + "` failed"; });
   fail.exit = ExitStatus::Known(1);
-  return {success_state(std::move(ok)), std::move(fail)};
+  std::vector<State> out = Only(success_state(std::move(ok)));
+  out.push_back(std::move(fail));
+  return out;
 }
 
 TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
   TestOutcome out;
-  out.description = "[ ";
-  for (const Expanded& a : args) {
-    out.description += a.value.Describe() + " ";
-  }
-  out.description += "]";
 
   auto concrete = [](const Expanded& e) -> std::optional<std::string> {
     if (e.value.is_concrete()) {
@@ -427,7 +441,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
   if (!args.empty() && concrete(args[0]) == "!") {
     TestOutcome inner = EvalTest(st, {args.begin() + 1, args.end()});
     TestOutcome flipped;
-    flipped.description = inner.description;
     switch (inner.verdict) {
       case TestOutcome::Verdict::kTrue:
         flipped.verdict = TestOutcome::Verdict::kFalse;
@@ -448,7 +461,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
     bool can_empty = e.value.CanBeEmpty();
     bool must_empty = e.value.MustBeEmpty();
     TestOutcome o;
-    o.description = out.description;
     if (must_empty) {
       o.verdict = want_nonempty ? TestOutcome::Verdict::kFalse : TestOutcome::Verdict::kTrue;
       return o;
@@ -487,7 +499,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
                                                : PathState::kExists;
       std::optional<PathKey> key = PathKeyOf(st, operand);
       TestOutcome o;
-      o.description = out.description;
       if (!key.has_value()) {
         o.verdict = TestOutcome::Verdict::kUnknown;
         return o;
@@ -520,7 +531,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
     if (op == "=" || op == "==" || op == "!=") {
       bool want_equal = op != "!=";
       TestOutcome o;
-      o.description = out.description;
       // Orient so `sym` is the symbolic side when exactly one side is.
       const Expanded* sym = nullptr;
       std::optional<std::string> lit;
@@ -606,7 +616,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
       std::optional<std::string> l = concrete(lhs);
       std::optional<std::string> r = concrete(rhs);
       TestOutcome o;
-      o.description = out.description;
       int64_t lv = 0;
       int64_t rv = 0;
       if (l.has_value() && r.has_value() && ParseInt64(*l, &lv) && ParseInt64(*r, &rv)) {
@@ -629,7 +638,6 @@ TestOutcome Evaluator::EvalTest(State& st, const std::vector<Expanded>& args) {
   }
   if (args.empty()) {
     TestOutcome o;
-    o.description = "[ ]";
     o.verdict = TestOutcome::Verdict::kFalse;
     return o;
   }

@@ -212,14 +212,14 @@ State Evaluator::MakeInitialState() const {
 std::vector<State> Evaluator::ExecProgram(State st, const syntax::Program& program, int depth) {
   if (program.body == nullptr) {
     st.exit = ExitStatus::Known(0);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   return Exec(std::move(st), *program.body, depth);
 }
 
 std::vector<State> Evaluator::Exec(State st, const Command& cmd, int depth) {
   if (st.terminated) {
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   if (options_.cancel != nullptr && options_.cancel->CheckStep()) {
     // Budget exhausted: wind this path down with an unknown exit. The
@@ -228,12 +228,12 @@ std::vector<State> Evaluator::Exec(State st, const Command& cmd, int depth) {
     stats_->cancelled = 1;
     st.terminated = true;
     st.exit = ExitStatus::Unknown();
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   if (depth > options_.max_call_depth) {
     ++stats_->depth_cap_hits;
     st.exit = ExitStatus::Unknown();
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   ++stats_->commands_executed;
   switch (cmd.kind) {
@@ -265,9 +265,9 @@ std::vector<State> Evaluator::Exec(State st, const Command& cmd, int depth) {
     case CommandKind::kFunctionDef:
       st.functions[cmd.function.sym()] = cmd.function.body;
       st.exit = ExitStatus::Known(0);
-      return {std::move(st)};
+      return Only(std::move(st));
   }
-  return {std::move(st)};
+  return Only(std::move(st));
 }
 
 void Evaluator::ForkOnExit(std::vector<State> states, std::string_view context,
@@ -284,14 +284,14 @@ void Evaluator::ForkOnExit(std::vector<State> states, std::string_view context,
       failure->push_back(std::move(s));
     } else {
       ++stats_->forks;
-      State ok = s;
+      State ok = s.Fork();
       ok.id = NewStateId();
       ok.exit = ExitStatus::Known(0);
-      ok.Assume("assumed " + std::string(context) + " succeeded");
+      ok.Assume([&] { return "assumed " + std::string(context) + " succeeded"; });
       State bad = std::move(s);
       bad.exit = ExitStatus::Known(1);
       bad.assumed_failure = true;
-      bad.Assume("assumed " + std::string(context) + " failed");
+      bad.Assume([&] { return "assumed " + std::string(context) + " failed"; });
       success->push_back(std::move(ok));
       failure->push_back(std::move(bad));
     }
@@ -347,7 +347,7 @@ std::vector<State> Evaluator::Control(std::vector<State> states) {
 }
 
 std::vector<State> Evaluator::ExecList(State st, const Command& cmd, int depth) {
-  std::vector<State> cur{std::move(st)};
+  std::vector<State> cur = Only(std::move(st));
   const size_t n = cmd.list.commands.size();
   for (size_t i = 0; i < n; ++i) {
     std::vector<State> run;
@@ -399,7 +399,7 @@ std::vector<State> Evaluator::ExecPipeline(State st, const Command& cmd, int dep
   // Sequential approximation: stages run left to right against the same
   // (evolving) file-system state; data flow between stages is the stream
   // type system's concern (sash::stream), not the symbolic engine's.
-  std::vector<State> cur{std::move(st)};
+  std::vector<State> cur = Only(std::move(st));
   for (const syntax::CommandPtr& stage : cmd.pipeline.commands) {
     std::vector<State> next;
     for (State& s : cur) {
@@ -469,7 +469,7 @@ std::vector<State> Evaluator::ExecIf(State st, const Command& cmd, int depth) {
 }
 
 std::vector<State> Evaluator::ExecLoop(State st, const Command& cmd, int depth) {
-  std::vector<State> live{std::move(st)};
+  std::vector<State> live = Only(std::move(st));
   std::vector<State> out;
   for (int iter = 0; iter <= options_.loop_unroll && !live.empty(); ++iter) {
     std::vector<State> cond_states;
@@ -480,7 +480,7 @@ std::vector<State> Evaluator::ExecLoop(State st, const Command& cmd, int depth) 
       }
       std::vector<State> results =
           cmd.loop.condition != nullptr ? Exec(std::move(s), *cmd.loop.condition, depth)
-                                        : std::vector<State>{std::move(s)};
+                                        : Only(std::move(s));
       for (State& r : results) {
         cond_states.push_back(std::move(r));
       }
@@ -506,7 +506,9 @@ std::vector<State> Evaluator::ExecLoop(State st, const Command& cmd, int depth) 
           s.Bind(name, SymValue::Unknown());
         }
         s.exit = ExitStatus::Known(0);
-        s.Assume("loop widened after " + std::to_string(options_.loop_unroll) + " iterations");
+        s.Assume([&] {
+          return "loop widened after " + std::to_string(options_.loop_unroll) + " iterations";
+        });
         out.push_back(std::move(s));
       }
       break;
@@ -546,7 +548,7 @@ std::vector<State> Evaluator::ExecFor(State st, const Command& cmd, int depth) {
     }
     items.push_back(std::move(e));
   }
-  std::vector<State> cur{std::move(st)};
+  std::vector<State> cur = Only(std::move(st));
   if (all_concrete && cmd.for_cmd.has_in &&
       static_cast<int>(items.size()) <= options_.max_for_iterations) {
     for (const Expanded& item : items) {
@@ -598,7 +600,7 @@ std::vector<State> Evaluator::ExecFor(State st, const Command& cmd, int depth) {
 
 std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) {
   Expanded subject = ExpandWord(st, cmd.case_cmd.subject, depth);
-  std::vector<State> remaining{std::move(st)};
+  std::vector<State> remaining = Only(std::move(st));
   std::vector<State> out;
 
   for (const syntax::CaseItem& item : cmd.case_cmd.items) {
@@ -629,7 +631,9 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
 
     auto run_body = [&](State s, bool add_note) -> std::vector<State> {
       if (add_note) {
-        s.Assume("assumed case matched '" + item.patterns[0].ToDisplayString() + "'");
+        s.Assume([&] {
+          return "assumed case matched '" + item.patterns[0].ToDisplayString() + "'";
+        });
       }
       // Refine the subject variable in the matched branch.
       if (item_lang.has_value() && subject.prov.has_value() && subject.prov->suffix.empty() &&
@@ -641,7 +645,7 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
       }
       if (item.body == nullptr) {
         s.exit = ExitStatus::Known(0);
-        return {std::move(s)};
+        return Only(std::move(s));
       }
       return Exec(std::move(s), *item.body, depth);
     };
@@ -660,7 +664,7 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
       ++stats_->forks;
       std::vector<State> still_remaining;
       for (State& s : remaining) {
-        State matched = s;
+        State matched = s.Fork();
         matched.id = NewStateId();
         std::vector<State> results = run_body(std::move(matched), /*add_note=*/true);
         for (State& r : results) {
@@ -674,7 +678,9 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
             s.Bind(subject.prov->var, var->RestrictTo(item_lang->Complement()));
           }
         }
-        s.Assume("assumed case did not match '" + item.patterns[0].ToDisplayString() + "'");
+        s.Assume([&] {
+          return "assumed case did not match '" + item.patterns[0].ToDisplayString() + "'";
+        });
         still_remaining.push_back(std::move(s));
       }
       remaining = std::move(still_remaining);
@@ -697,14 +703,13 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
 std::vector<State> Evaluator::ExecSubshell(State st, const Command& cmd, int depth) {
   if (cmd.subshell.body == nullptr) {
     st.exit = ExitStatus::Known(0);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
-  State parent = st;
-  std::vector<State> results = Exec(std::move(st), *cmd.subshell.body, depth + 1);
+  std::vector<State> results = Exec(st.Fork(), *cmd.subshell.body, depth + 1);
   // Variable/cwd changes do not escape the subshell; FS effects and exit do.
   for (State& r : results) {
-    r.RestoreScopeFrom(parent);
-    r.cwd = parent.cwd;
+    r.RestoreScopeFrom(st);
+    r.cwd = st.cwd;
     r.terminated = false;  // `exit` in a subshell only exits the subshell.
     ApplyRedirects(r, cmd, depth);
   }
@@ -757,13 +762,13 @@ std::vector<State> Evaluator::ExecSimple(State st, const Command& cmd, int depth
   // Assignment prefixes.
   for (const syntax::Assignment& a : cmd.simple.assignments) {
     if (st.terminated) {
-      return {std::move(st)};
+      return Only(std::move(st));
     }
     Expanded v = ExpandWord(st, a.value, depth);
     st.Bind(a.sym(), v.value);
   }
   if (st.terminated) {
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   // Expand argv with empty-field dropping.
@@ -771,7 +776,7 @@ std::vector<State> Evaluator::ExecSimple(State st, const Command& cmd, int depth
   for (const syntax::Word& w : cmd.simple.words) {
     Expanded e = ExpandWord(st, w, depth);
     if (st.terminated) {
-      return {std::move(st)};
+      return Only(std::move(st));
     }
     if (e.droppable_if_empty && e.value.MustBeEmpty()) {
       continue;
@@ -799,7 +804,7 @@ std::vector<State> Evaluator::ExecSimple(State st, const Command& cmd, int depth
     if (!has_cmdsub) {
       st.exit = ExitStatus::Known(0);
     }
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   if (!argv[0].value.is_concrete()) {
@@ -807,7 +812,7 @@ std::vector<State> Evaluator::ExecSimple(State st, const Command& cmd, int depth
          "command name is dynamic (" + argv[0].value.Describe() + "); effects unknown", st);
     st.exit = ExitStatus::Unknown();
     ApplyRedirects(st, cmd, depth);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
   const std::string name = argv[0].value.concrete();
 
@@ -853,7 +858,7 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
     st.exit = ExitStatus::Unknown();
     st.stdout_lines.push_back(SymValue::UnknownLine());
     st.stdout_prov.reset();
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   // Build a concrete argv for the syntax-spec parser; symbolic values become
@@ -873,7 +878,7 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
     Emit(Severity::kWarning, kCodeEmptyExpansionArg, cmd.range,
          name + ": invocation is invalid on this path (" + inv.status().message() + ")", st);
     st.exit = ExitStatus::Known(2);
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   // Map operand strings back to their Expanded values.
@@ -955,7 +960,7 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
 
   if (branches.empty()) {
     st.exit = ExitStatus::Unknown();
-    return {std::move(st)};
+    return Only(std::move(st));
   }
 
   // Always-fails criterion: the only reachable behavior fails.
@@ -1058,11 +1063,14 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
   } else {
     stats_->forks += static_cast<int>(branches.size()) - 1;
     for (size_t i = 0; i < branches.size(); ++i) {
-      State s = st;
+      // The last branch takes the parent itself; the others fork it.
+      State s = i + 1 < branches.size() ? st.Fork() : std::move(st);
       if (i > 0) {
         s.id = NewStateId();
       }
-      s.Assume("assumed " + name + " behaved as " + branches[i].c->ToHoareString(name));
+      s.Assume([&] {
+        return "assumed " + name + " behaved as " + branches[i].c->ToHoareString(name);
+      });
       out.push_back(apply_case(std::move(s), *branches[i].c, /*assume_pre=*/true));
     }
   }

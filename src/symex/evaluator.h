@@ -39,8 +39,15 @@ struct TestOutcome {
   Verdict verdict = Verdict::kUnknown;
   BranchRefinement if_true;
   BranchRefinement if_false;
-  std::string description;  // For assumption notes, e.g. "[ $x = / ]".
 };
+
+// A one-state result. `return {std::move(st)};` would deep-copy the state:
+// the elements of a std::initializer_list are const.
+inline std::vector<State> Only(State st) {
+  std::vector<State> out;
+  out.push_back(std::move(st));
+  return out;
+}
 
 class Evaluator {
  public:

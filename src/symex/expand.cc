@@ -298,7 +298,7 @@ SymValue Evaluator::ExpandParam(State& st, const WordPart& part, int depth) {
       if (may_fail) {
         // Continue on the success path: the value is refined non-empty, and
         // the script may abort here on other paths.
-        st.Assume("${" + name + ":?} did not fail (value non-empty)");
+        st.Assume([&] { return "${" + name + ":?} did not fail (value non-empty)"; });
         SymValue refined = part.param_colon ? raw.RestrictNonEmpty() : raw;
         st.Bind(name_sym, refined);
         return refined;
@@ -359,7 +359,7 @@ SymValue Evaluator::EvalCommandSub(State& st, const WordPart& part, int depth,
   }
   // Substitutions run in a subshell: variable/cwd changes do not escape, but
   // file-system effects do.
-  State sub = st;
+  State sub = st.Fork();
   sub.stdout_lines.clear();
   sub.stdout_prov.reset();
   std::vector<State> results = ExecProgram(std::move(sub), *part.command, depth + 1);
@@ -368,7 +368,7 @@ SymValue Evaluator::EvalCommandSub(State& st, const WordPart& part, int depth,
   }
   if (results.size() == 1) {
     State& r = results[0];
-    st.sfs = r.sfs;
+    st.sfs = std::move(r.sfs);
     st.exit = r.exit;
     if (prov_out != nullptr) {
       *prov_out = r.stdout_prov;

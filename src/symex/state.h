@@ -2,6 +2,11 @@
 // exit status, symbolic file system, accumulated stdout, and the path
 // condition (as human-readable assumptions used in witness notes).
 //
+// A State is move-only: the copy constructor is private, copy assignment
+// is deleted, and `Fork()` is the one deep copy. Every copy is then a visible
+// fork at its call site, never a by-product of an initializer list or a
+// pass-by-value.
+//
 // The variable store is keyed by interned symbols and every mutation keeps a
 // running 64-bit digest in sync, so `State::Digest()` — the key the merge
 // loop compares — costs a handful of integer mixes instead of rendering the
@@ -10,6 +15,7 @@
 #ifndef SASH_SYMEX_STATE_H_
 #define SASH_SYMEX_STATE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -52,6 +58,18 @@ struct Provenance {
 struct State {
   using VarMap = std::map<util::Symbol, SymValue>;
 
+  // Keeps only the path-condition notes a diagnostic can show: Evaluator::Emit
+  // prints four, then an elision line when a fifth exists.
+  static constexpr size_t kMaxAssumptions = 5;
+
+  State() = default;
+  State(State&&) = default;
+  State& operator=(State&&) = default;
+  State& operator=(const State&) = delete;
+
+  // A deep copy for a path that splits off this one.
+  State Fork() const { return State(*this); }
+
   int id = 0;
 
   SymValue cwd = SymValue::Concrete("/");
@@ -66,7 +84,8 @@ struct State {
   // substitutions like $(realpath "$STEAMROOT/").
   std::optional<Provenance> stdout_prov;
 
-  // Human-readable path condition, e.g. "assumed `cd` failed".
+  // Human-readable path condition, e.g. "assumed `cd` failed"; the first
+  // kMaxAssumptions notes only.
   std::vector<std::string> assumptions;
 
   bool terminated = false;  // `exit` was executed.
@@ -152,7 +171,19 @@ struct State {
     functions = parent.functions;
   }
 
-  void Assume(std::string note) { assumptions.push_back(std::move(note)); }
+  // Appends a path-condition note while fewer than kMaxAssumptions are kept.
+  // The callable form builds the note only when it will be kept.
+  void Assume(std::string note) {
+    if (assumptions.size() < kMaxAssumptions) {
+      assumptions.push_back(std::move(note));
+    }
+  }
+  template <std::invocable MakeNote>
+  void Assume(MakeNote&& make_note) {
+    if (assumptions.size() < kMaxAssumptions) {
+      assumptions.push_back(make_note());
+    }
+  }
 
   // Joined stdout as a single value ("" when no output) with trailing
   // newline stripped — command-substitution semantics.
@@ -167,6 +198,8 @@ struct State {
   uint64_t Digest() const;
 
  private:
+  State(const State&) = default;  // Only through Fork().
+
   static uint64_t BindingHash(util::Symbol name, const SymValue& value,
                               bool maybe_unset) {
     uint64_t h = util::FnvMix64(0x7661723a00000000ull, name.hash());  // "var:"

@@ -149,6 +149,27 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
   }
 }
 
+// Isolated workers look the cache up in the fork; the parent's cache.hits
+// and cache.misses counters must still agree with the batch result.
+TEST_F(BatchCacheTest, IsolatedRunsCountCacheLookupsInTheParent) {
+  auto corpus = ExampleCorpus();
+  std::vector<std::string> files;
+  for (const auto& [name, content] : corpus) {
+    files.push_back(WriteScript(name + ".sh", content).string());
+  }
+  for (bool warm : {false, true}) {
+    obs::Registry metrics;
+    BatchOptions opt = Options(2);
+    opt.isolate = true;
+    opt.obs.metrics = &metrics;
+    BatchResult r = BatchDriver(opt).Run(files);
+    EXPECT_EQ(r.cache_hits, warm ? static_cast<int64_t>(corpus.size()) : 0);
+    obs::MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_EQ(snap.counters["cache.hits"], r.cache_hits) << (warm ? "warm" : "cold");
+    EXPECT_EQ(snap.counters["cache.misses"], r.cache_misses) << (warm ? "warm" : "cold");
+  }
+}
+
 TEST_F(BatchCacheTest, TouchingScriptInvalidatesExactlyThatEntry) {
   std::vector<std::string> files = {WriteScript("a.sh", "echo one\n").string(),
                                     WriteScript("b.sh", "echo two\n").string(),

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "fs/filesystem.h"
 #include "fs/glob.h"
 #include "fs/path.h"
@@ -35,6 +39,57 @@ TEST(Path, JoinAndAbsolutize) {
   EXPECT_EQ(Absolutize("x/y", "/home/u"), "/home/u/x/y");
   EXPECT_EQ(Absolutize("/x", "/home/u"), "/x");
   EXPECT_EQ(Absolutize("..", "/home/u"), "/home");
+}
+
+// The split/stack/join normalization NormalizePath replaced, kept as the
+// oracle for the one-pass version.
+std::string OracleNormalize(std::string_view path) {
+  const bool absolute = IsAbsolute(path);
+  std::vector<std::string> stack;
+  for (std::string& part : SplitPath(path)) {
+    if (part == ".") {
+      continue;
+    }
+    if (part == "..") {
+      if (!stack.empty() && stack.back() != "..") {
+        stack.pop_back();
+      } else if (!absolute) {
+        stack.push_back("..");
+      }
+      continue;
+    }
+    stack.push_back(std::move(part));
+  }
+  std::string joined;
+  for (size_t i = 0; i < stack.size(); ++i) {
+    joined += (i == 0 ? "" : "/") + stack[i];
+  }
+  std::string out = absolute ? "/" + joined : joined;
+  return out.empty() ? "." : out;
+}
+
+std::string OracleDirName(std::string_view path) {
+  std::string norm = OracleNormalize(path);
+  size_t pos = norm.rfind('/');
+  if (pos == std::string::npos) {
+    return ".";
+  }
+  return pos == 0 ? "/" : norm.substr(0, pos);
+}
+
+TEST(Path, NormalizeMatchesSplitStackJoinOracle) {
+  const char* const kAtoms[] = {"/", "//", ".", "..", "...", "a", "bc", ".x", "$1", "*"};
+  std::mt19937_64 rng(20251020);
+  std::uniform_int_distribution<size_t> length(0, 10);
+  std::uniform_int_distribution<size_t> atom(0, std::size(kAtoms) - 1);
+  for (int n = 0; n < 200000; ++n) {
+    std::string path;
+    for (size_t k = length(rng); k > 0; --k) {
+      path += kAtoms[atom(rng)];
+    }
+    ASSERT_EQ(NormalizePath(path), OracleNormalize(path)) << "path: '" << path << "'";
+    ASSERT_EQ(DirName(path), OracleDirName(path)) << "path: '" << path << "'";
+  }
 }
 
 TEST(FileSystem, CreateReadWrite) {

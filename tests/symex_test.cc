@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <type_traits>
+
 #include "symex/engine.h"
 #include "syntax/parser.h"
 
@@ -395,6 +401,97 @@ TEST(Engine, IdenticalStatesMerged) {
   RunResult r = RunScript("if read line; then y=1; else y=1; fi\nz=2\n");
   EXPECT_EQ(r.finals.size(), 1u);
   EXPECT_GE(r.stats.states_merged, 1);
+}
+
+// ---------- Move-only states ----------
+
+// Every deep copy of a State is an explicit Fork().
+static_assert(!std::is_copy_constructible_v<State>);
+static_assert(!std::is_copy_assignable_v<State>);
+static_assert(std::is_nothrow_move_constructible_v<State>);
+
+TEST(State, ForkIsIndependent) {
+  DiagnosticSink sink;
+  Engine engine(EngineOptions{}, &sink);
+  State parent = engine.MakeInitialState();
+  parent.Bind("x", SymValue::Concrete("1"));
+  parent.sfs.Assume(symfs::PathKey::Concrete("/srv"), specs::PathState::kIsDir);
+  parent.Assume("assumed the parent's note");
+  const uint64_t digest = parent.Digest();
+  const std::string facts = parent.sfs.ToString();
+
+  State fork = parent.Fork();
+  EXPECT_EQ(fork.Digest(), digest);
+  fork.Bind("x", SymValue::Concrete("2"));
+  fork.Bind("y", SymValue::Concrete("3"));
+  fork.sfs.Assume(symfs::PathKey::Concrete("/srv/data"), specs::PathState::kIsFile);
+  fork.sfs.Assume(symfs::PathKey::Concrete("/srv"), specs::PathState::kAbsent);
+  fork.Assume("assumed the fork's note");
+  fork.stdout_lines.push_back(SymValue::Concrete("out"));
+  EXPECT_NE(fork.Digest(), digest);
+
+  EXPECT_EQ(parent.Digest(), digest);
+  EXPECT_EQ(parent.sfs.ToString(), facts);
+  ASSERT_NE(parent.Lookup("x"), nullptr);
+  EXPECT_TRUE(parent.Lookup("x")->MustEqual("1"));
+  EXPECT_FALSE(parent.IsSet("y"));
+  EXPECT_EQ(parent.assumptions, std::vector<std::string>{"assumed the parent's note"});
+  EXPECT_TRUE(parent.stdout_lines.empty());
+}
+
+TEST(State, KeepsOnlyTheAssumptionsADiagnosticShows) {
+  State st;
+  int built = 0;
+  for (int i = 0; i < 8; ++i) {
+    st.Assume([&] {
+      ++built;
+      return "note " + std::to_string(i);
+    });
+  }
+  EXPECT_EQ(st.assumptions.size(), State::kMaxAssumptions);
+  EXPECT_EQ(built, static_cast<int>(State::kMaxAssumptions));
+  EXPECT_EQ(st.assumptions.back(), "note 4");
+
+  // Six unknown commands fork six times before the deletion: four notes
+  // are shown, then the elision line.
+  RunResult r = RunScript("a && b && c && d && e && f && rm -rf /\n");
+  const Diagnostic* d = FindCode(r, kCodeDeleteRoot);
+  ASSERT_NE(d, nullptr);
+  int path_notes = 0;
+  for (const DiagnosticNote& n : d->notes) {
+    path_notes += n.message.rfind("path condition: ", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(path_notes, 4);
+  EXPECT_EQ(d->notes.back().message, "(further assumptions elided)");
+}
+
+// Exploration counters over the example corpus, pinned to the values the
+// engine produced before states became move-only: removing copies must not
+// change which states are forked, merged or dropped.
+TEST(State, ExplorationCountersOnExamplesAreUnchanged) {
+  std::vector<std::filesystem::path> scripts;
+  for (const auto& entry : std::filesystem::directory_iterator(SASH_EXAMPLES_DIR)) {
+    if (entry.path().extension() == ".sh") {
+      scripts.push_back(entry.path());
+    }
+  }
+  std::sort(scripts.begin(), scripts.end());
+  ASSERT_EQ(scripts.size(), 8u);
+  EngineStats total;
+  for (const std::filesystem::path& path : scripts) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    RunResult r = RunScript(text.str());
+    total.forks += r.stats.forks;
+    total.states_merged += r.stats.states_merged;
+    total.states_dropped += r.stats.states_dropped;
+    total.final_states += r.stats.final_states;
+  }
+  EXPECT_EQ(total.forks, 30);
+  EXPECT_EQ(total.states_merged, 8);
+  EXPECT_EQ(total.states_dropped, 0);
+  EXPECT_EQ(total.final_states, 28);
 }
 
 TEST(Engine, HeredocAndRedirectsDoNotCrash) {
