@@ -176,19 +176,22 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   if (cache != nullptr) {
     key = AnalysisKey(source, options.analyzer, options.annotations_text);
     std::optional<std::string> payload = cache->Get("analysis", key);
+    std::optional<AnalysisEntry> entry;
     if (payload.has_value()) {
-      if (std::optional<AnalysisEntry> entry = DecodeAnalysisEntry(*payload); entry.has_value()) {
-        result = std::move(*entry);
-        result.path = path;
-        result.cached = true;
-        result.micros = watch.ElapsedMicros();
-        return result;
-      }
-      // Undecodable entry (torn write, bit rot): the checksum demoted it
+      entry = DecodeAnalysisEntry(*payload);
+      // Undecodable entry (torn write, bit rot): the checksum demotes it
       // to a miss — fall through, re-analyze, overwrite.
-      if (metrics != nullptr) {
+      if (!entry.has_value() && metrics != nullptr) {
         metrics->counter("cache.corrupt_entries")->Add(1);
       }
+    }
+    cache->CountLookup(entry.has_value());
+    if (entry.has_value()) {
+      result = std::move(*entry);
+      result.path = path;
+      result.cached = true;
+      result.micros = watch.ElapsedMicros();
+      return result;
     }
   }
 
@@ -311,7 +314,6 @@ BatchResult BatchDriver::RunSourcesImpl(
   }
   if (metrics != nullptr) {
     metrics->counter("batch.files")->Add(static_cast<int64_t>(sources.size()));
-    metrics->counter("batch.steals")->Add(pool.steals());
     metrics->gauge("batch.jobs")->Set(pool.size());
     metrics->counter("resilience.timeouts")
         ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kTimedOut)));

@@ -1,5 +1,5 @@
 // The multi-threaded batch analysis driver: many scripts in, one result set
-// out, a work-stealing pool underneath, and the incremental cache consulted
+// out, a FIFO thread pool underneath, and the incremental cache consulted
 // per script. Independent scripts are embarrassingly parallel (the PaSh
 // observation applied to analysis instead of execution); the cache turns the
 // second encounter of any (script, options, corpus, version) combination

@@ -106,9 +106,8 @@ bool EnsureDirectories(const std::filesystem::path& dir) {
 std::string OptionsFingerprint(const core::AnalyzerOptions& options) {
   std::ostringstream s;
   s << "lint=" << options.enable_lint << ";symex=" << options.enable_symex
-    << ";stream=" << options.enable_stream_types << ";annot=" << options.apply_annotations
+    << ";stream=" << options.enable_stream_types
     << ";idem=" << options.enable_idempotence_check
-    << ";idem_cap=" << options.idempotence_state_cap
     << ";coach=" << options.enable_optimization_coach
     // max_input_bytes deterministically shapes the report (too-large inputs
     // degrade to an empty one); the cancel token does not participate — its
@@ -116,9 +115,8 @@ std::string OptionsFingerprint(const core::AnalyzerOptions& options) {
     << ";max_in=" << options.max_input_bytes;
   const symex::EngineOptions& e = options.engine;
   s << ";e.max_states=" << e.max_states << ";e.unroll=" << e.loop_unroll
-    << ";e.depth=" << e.max_call_depth << ";e.for=" << e.max_for_iterations
-    << ";e.path=" << e.script_path_pattern << ";e.pos=" << e.positional_params
-    << ";e.unset=" << e.report_unset_vars << ";e.merge=" << e.merge_identical_states
+    << ";e.depth=" << e.max_call_depth << ";e.unset=" << e.report_unset_vars
+    << ";e.merge=" << e.merge_identical_states
     << ";e.lib=" << (e.library == nullptr ? "builtin" : "custom");
   for (const auto& [var, pattern] : e.var_patterns) {
     s << ";e.var:" << var << "=" << pattern;
@@ -296,18 +294,11 @@ std::optional<std::string> Cache::Get(std::string_view kind, std::string_view ke
     fault = util::FaultInjector::Check(util::FaultSite::kCacheRead, path.string());
     util::FaultInjector::ApplyDelay(fault);
     if (fault.action == util::FaultAction::kFail) {
-      // Simulated unreadable entry: exactly the real miss path below.
-      if (misses_ != nullptr) {
-        misses_->Add(1);
-      }
-      return std::nullopt;
+      return std::nullopt;  // Simulated unreadable entry: the real miss path below.
     }
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    if (misses_ != nullptr) {
-      misses_->Add(1);
-    }
     return std::nullopt;
   }
   std::ostringstream buf;
@@ -316,9 +307,6 @@ std::optional<std::string> Cache::Get(std::string_view kind, std::string_view ke
   // Simulated torn/bit-flipped entry: the checksum in the payload makes the
   // decoder reject it, so downstream sees a corrupt-entry miss.
   util::FaultInjector::ApplyPayloadFault(fault, &payload);
-  if (hits_ != nullptr) {
-    hits_->Add(1);
-  }
   return payload;
 }
 

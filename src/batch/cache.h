@@ -86,7 +86,9 @@ class Cache {
   const std::filesystem::path& root() const { return root_; }
 
   // Reads the entry for `key` under `kind` ("analysis", "mine"); nullopt on
-  // miss or an unreadable/undecodable entry (counted as a miss).
+  // a miss or an unreadable entry. Counts nothing: whether the lookup hit is
+  // known only once the caller has decoded (and so checksummed) the entry,
+  // and the caller then counts it with CountLookup.
   std::optional<std::string> Get(std::string_view kind, std::string_view key);
 
   // Atomically installs `payload` for `key`, retrying transient I/O failures
@@ -102,9 +104,10 @@ class Cache {
   // still counts each one). Gets are unaffected: warm entries keep serving.
   bool Put(std::string_view kind, std::string_view key, std::string_view payload);
 
-  // Counts a lookup another process made against this cache: an isolated
-  // worker does its Get in the fork, so the parent counts "cache.hits" or
-  // "cache.misses" from the result it decodes. Its installs stay child-side:
+  // Counts one lookup as "cache.hits" when its entry decoded, else as
+  // "cache.misses" (absent, unreadable, or corrupt). An isolated worker
+  // does its Get in the fork, so the parent counts it from the result it
+  // decodes; the worker's installs stay child-side:
   // "cache.commit.committed" does not move for them.
   void CountLookup(bool hit) {
     obs::Counter* counter = hit ? hits_ : misses_;

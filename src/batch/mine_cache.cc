@@ -34,12 +34,14 @@ mining::MiningOutcome CachedMineCommand(Cache* cache, const std::string& name,
     }
     if (std::optional<mining::MiningOutcome> cached = DecodeMiningOutcome(*payload);
         cached.has_value()) {
+      cache->CountLookup(true);
       if (hooks.metrics != nullptr) {
         hooks.metrics->counter("mining.cache_hits")->Add(1);
       }
       return std::move(*cached);
     }
   }
+  cache->CountLookup(false);
   mining::MiningOutcome outcome = mining::MineCommand(name, hooks);
   if (outcome.ok) {
     cache->Put("mine", key, EncodeMiningOutcome(key, outcome));

@@ -10,6 +10,11 @@
 
 namespace sash::core {
 
+namespace {
+// Final states the idempotence check re-executes at most.
+constexpr int kIdempotenceStateCap = 8;
+}  // namespace
+
 bool AnalysisReport::HasCode(std::string_view code) const {
   for (const Diagnostic& d : findings_) {
     if (d.code == code) {
@@ -160,9 +165,7 @@ AnalysisReport Analyzer::AnalyzeSource(std::string_view source) {
   obs::StopWatch annot_watch;
   obs::Span annot_span(options_.obs.tracer, "annotations");
   DiagnosticSink annot_sink;
-  annot::AnnotationSet annotations =
-      options_.apply_annotations ? annot::ParseInlineAnnotations(source, &annot_sink)
-                                 : annot::AnnotationSet{};
+  annot::AnnotationSet annotations = annot::ParseInlineAnnotations(source, &annot_sink);
   annot_span.End();
   front_phases.push_back({"annotations", annot_watch.ElapsedMicros()});
   if (options_.obs.journal != nullptr) {
@@ -289,7 +292,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
           if (final_state.assumed_failure || final_state.exit.MustFail()) {
             continue;
           }
-          if (++rerun > options_.idempotence_state_cap) {
+          if (++rerun > kIdempotenceStateCap) {
             break;
           }
           // A second run starts with fresh variables but inherits the

@@ -44,11 +44,9 @@ struct AnalyzerOptions {
                              // analyses subsume its useful findings.
   bool enable_symex = true;
   bool enable_stream_types = true;
-  bool apply_annotations = true;
   // Opt-in: re-run the symbolic engine from each final file-system state and
   // report commands that fail only on the second run.
   bool enable_idempotence_check = false;
-  int idempotence_state_cap = 8;  // Final states re-executed at most.
   // Opt-in: emit kCodeParallelizable suggestions from the read-write
   // dependency analysis (§5's optimization coach).
   bool enable_optimization_coach = false;

@@ -92,15 +92,6 @@ std::vector<std::pair<size_t, size_t>> FindMatches(const regex::Regex& body,
 
 // ---------------- individual commands ----------------
 
-RunResult CmdEcho(const Invocation& inv) {
-  RunResult r;
-  r.out = Join(inv.operands, " ");
-  if (!inv.HasFlag('n')) {
-    r.out += '\n';
-  }
-  return r;
-}
-
 RunResult CmdCat(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
   RunResult r;
   std::vector<std::string> pieces;
@@ -805,6 +796,17 @@ RunResult RunCommand(fs::FileSystem& fs, const std::vector<std::string>& argv,
   if (name == "sleep") {
     return RunResult{};  // Time is not modeled.
   }
+  if (name == "echo") {
+    // POSIX sh echo: only an exact leading -n is an option; every other
+    // argument, dashes included, is printed as given.
+    const bool newline = argv.size() < 2 || argv[1] != "-n";
+    RunResult r;
+    r.out = Join(std::vector<std::string>(argv.begin() + (newline ? 1 : 2), argv.end()), " ");
+    if (newline) {
+      r.out += '\n';
+    }
+    return r;
+  }
   if (name == "basename" || name == "dirname") {
     if (argv.size() < 2) {
       return Fail(1, name + ": missing operand\n");
@@ -824,9 +826,6 @@ RunResult RunCommand(fs::FileSystem& fs, const std::vector<std::string>& argv,
     return Fail(2, name + ": " + inv.status().message() + "\n");
   }
 
-  if (name == "echo") {
-    return CmdEcho(*inv);
-  }
   if (name == "cat") {
     return CmdCat(fs, *inv, stdin_data);
   }

@@ -37,7 +37,8 @@ enum class EventKind : uint8_t {
   kTaskStart,       // Pool worker picked up a task: a=worker index
                     // b=global queue depth after the pop.
   kTaskStop,        // Task finished: a=worker index b=task duration (us).
-  kSteal,           // a=thief worker index.
+  kSteal,           // Not emitted; kept so journals written by older
+                    // versions (a=thief worker index) still validate.
   kQueueDepth,      // a=global queued tasks (sampled on submit).
   kRss,             // a=current RSS KiB, b=peak RSS KiB.
   kPhase,           // Analyzer phase completed: name=phase, a=micros.

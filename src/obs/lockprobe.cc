@@ -77,8 +77,8 @@ LockSite* LockProbes::Register(const char* name) {
 }
 
 std::vector<LockSiteSnapshot> LockProbes::Snapshot() {
-  // Sites sharing a name (e.g. every pool worker's deque lock registers
-  // "pool.worker") merge into one logical entry.
+  // Sites sharing a name (e.g. every interner segment's lock registers
+  // "intern.table") merge into one logical entry.
   struct Agg {
     LockSiteSnapshot snap;
     int64_t buckets[LockSite::kWaitBuckets] = {};

@@ -44,8 +44,6 @@ class JournalAccumulator {
       ++w.tasks;
     } else if (ev == "task_start") {
       WorkerFor(a);  // Make the worker visible even if its task never ends.
-    } else if (ev == "steal") {
-      ++WorkerFor(a).steals;
     } else if (ev == "phase") {
       summary_.phase_us[std::string(name)] += a;
     } else if (ev == "rss") {
@@ -262,9 +260,9 @@ std::string FormatReport(const JournalSummary& summary) {
                       : 0.0;
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "  worker %lld: %5.1f%% busy  tasks=%lld  steals=%lld  busy=%sms\n",
+                  "  worker %lld: %5.1f%% busy  tasks=%lld  busy=%sms\n",
                   static_cast<long long>(w.worker), util, static_cast<long long>(w.tasks),
-                  static_cast<long long>(w.steals), FormatMs(w.busy_us).c_str());
+                  FormatMs(w.busy_us).c_str());
     out += line;
   }
   out += "== phases ==\n";

@@ -44,7 +44,6 @@ struct JournalSummary {
     int64_t worker = 0;     // Worker index within the pool.
     int64_t busy_us = 0;    // Sum of task durations.
     int64_t tasks = 0;
-    int64_t steals = 0;
   };
 
   std::vector<Site> sites;                 // Sorted by wait_ns, descending.

@@ -9,6 +9,7 @@
 #include "obs/lockprobe.h"
 #include "obs/metrics.h"
 #include "regex/parser.h"
+#include "util/append_table.h"
 #include "util/hash.h"
 
 namespace sash::regex {
@@ -20,26 +21,15 @@ namespace {
 // pattern text different languages. Values are Regex copies; copying shares
 // the LazyDfa.
 //
-// Structure (the interner's lock-free idiom, with Regex payloads): entries
-// are append-only in fixed slabs, reached through an open-addressed index of
-// atomic slots holding entry-id+1. A slot is release-stored only after its
-// entry (key string + Regex copy) is fully built, so a lock-free reader that
-// acquires the slot sees a complete entry; growth builds a larger array and
-// release-publishes the pointer, retiring (never freeing) the outgrown one
-// under readers still probing it. Clear() republishes an empty index and
-// retires the old slabs the same way — entries a concurrent reader may still
-// hold stay alive for the process lifetime (Clear is a test/bench hook, not
-// a hot-path operation).
+// Structure: one util/append_table.h table per cache generation — entries
+// are append-only in fixed slabs, reached through a SlotIndex. Clear()
+// republishes a fresh generation and retires the old one whole, so entries
+// a concurrent reader may still hold stay alive for the process lifetime
+// (Clear is a test/bench hook, not a hot-path operation).
 struct PatternEntry {
   std::string key;  // domain byte + ':' + pattern (exact-match confirmation).
   uint64_t hash = 0;
   std::optional<Regex> regex;
-};
-
-struct PatternIndex {
-  explicit PatternIndex(size_t capacity) : mask(capacity - 1), slots(capacity) {}
-  const size_t mask;
-  std::vector<std::atomic<uint32_t>> slots;  // entry id + 1; 0 = empty.
 };
 
 // One cache generation: the index, the entry slabs, and the entry count.
@@ -47,22 +37,12 @@ struct PatternIndex {
 // reader that acquired a generation pointer always sees an internally
 // consistent (index, slabs, count) world no matter how Clear races with it.
 struct PatternStore {
-  static constexpr size_t kMaxEntries = 8192;
   static constexpr size_t kSlabSize = 256;
-  static constexpr size_t kMaxSlabs = kMaxEntries / kSlabSize;
-  static constexpr size_t kInitialSlots = 512;
+  static constexpr size_t kMaxEntries = 8192;
 
-  std::atomic<PatternIndex*> index{nullptr};
-  std::atomic<PatternEntry*> slabs[kMaxSlabs] = {};
+  util::SlotIndex index{512};
+  util::SlabStore<PatternEntry, kSlabSize, kMaxEntries / kSlabSize> entries;
   std::atomic<uint32_t> count{0};
-  // Outgrown index arrays and all slabs; writer-guarded, freed only when the
-  // generation itself is (i.e. never before every reader is done).
-  std::vector<std::unique_ptr<PatternIndex>> owned_indexes;
-  std::vector<std::unique_ptr<PatternEntry[]>> owned_slabs;
-
-  PatternEntry& EntryFor(uint32_t id) {
-    return slabs[id / kSlabSize].load(std::memory_order_acquire)[id % kSlabSize];
-  }
 
   static uint64_t KeyHash(char domain, std::string_view pattern) {
     char d[2] = {domain, ':'};
@@ -74,50 +54,12 @@ struct PatternStore {
            std::string_view(e.key).substr(2) == pattern;
   }
 
-  // Lock-free: entry id + 1 of the match, or 0.
-  uint32_t Probe(char domain, std::string_view pattern, uint64_t hash) {
-    PatternIndex* idx = index.load(std::memory_order_acquire);
-    if (idx == nullptr) {
-      return 0;
-    }
-    for (size_t i = hash & idx->mask;; i = (i + 1) & idx->mask) {
-      uint32_t v = idx->slots[i].load(std::memory_order_acquire);
-      if (v == 0) {
-        return 0;
-      }
-      PatternEntry& e = EntryFor(v - 1);
-      if (e.hash == hash && KeyEquals(e, domain, pattern)) {
-        return v;
-      }
-    }
-  }
-
-  // Requires the writer lock. Grows when the next insert would cross 2/3 load.
-  PatternIndex* EnsureRoom() {
-    PatternIndex* idx = index.load(std::memory_order_relaxed);
-    uint32_t used = count.load(std::memory_order_relaxed);
-    if (idx != nullptr && (used + 1) * 3 <= (idx->mask + 1) * 2) {
-      return idx;
-    }
-    size_t capacity = idx == nullptr ? kInitialSlots : (idx->mask + 1) * 2;
-    auto fresh = std::make_unique<PatternIndex>(capacity);
-    if (idx != nullptr) {
-      for (size_t i = 0; i <= idx->mask; ++i) {
-        uint32_t v = idx->slots[i].load(std::memory_order_relaxed);
-        if (v == 0) {
-          continue;
-        }
-        size_t j = EntryFor(v - 1).hash & fresh->mask;
-        while (fresh->slots[j].load(std::memory_order_relaxed) != 0) {
-          j = (j + 1) & fresh->mask;
-        }
-        fresh->slots[j].store(v, std::memory_order_relaxed);
-      }
-    }
-    PatternIndex* raw = fresh.get();
-    owned_indexes.push_back(std::move(fresh));
-    index.store(raw, std::memory_order_release);
-    return raw;
+  // Lock-free: the id of the matching entry, if any.
+  std::optional<uint32_t> Probe(char domain, std::string_view pattern, uint64_t hash) const {
+    return index.Probe(hash, [&](uint32_t id) {
+      const PatternEntry& e = entries.At(id);
+      return e.hash == hash && KeyEquals(e, domain, pattern);
+    });
   }
 };
 
@@ -144,13 +86,13 @@ PatternCacheImpl& pattern_cache() {
 std::optional<Regex> PatternCacheLookup(char domain, std::string_view pattern) {
   PatternCacheImpl& c = pattern_cache();
   PatternStore& s = *c.store.load(std::memory_order_acquire);
-  uint32_t v = s.Probe(domain, pattern, PatternStore::KeyHash(domain, pattern));
-  if (v == 0) {
+  std::optional<uint32_t> id = s.Probe(domain, pattern, PatternStore::KeyHash(domain, pattern));
+  if (!id.has_value()) {
     c.misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   c.hits.fetch_add(1, std::memory_order_relaxed);
-  return *s.EntryFor(v - 1).regex;
+  return *s.entries.At(*id).regex;
 }
 
 void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex) {
@@ -159,36 +101,25 @@ void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex
   std::lock_guard<obs::ProfiledMutex> lock(c.mu);
   // The live generation only changes under mu, which we hold.
   PatternStore& s = *c.store.load(std::memory_order_relaxed);
-  if (s.Probe(domain, pattern, hash) != 0) {
+  if (s.Probe(domain, pattern, hash).has_value()) {
     return;  // A racing compiler of the same pattern beat us; theirs wins.
   }
   uint32_t id = s.count.load(std::memory_order_relaxed);
   if (id >= PatternStore::kMaxEntries) {
     return;  // Full: later patterns compile uncached rather than evicting.
   }
-  PatternIndex* idx = s.EnsureRoom();
-  PatternEntry* slab = s.slabs[id / PatternStore::kSlabSize].load(std::memory_order_relaxed);
-  if (slab == nullptr) {
-    slab = new PatternEntry[PatternStore::kSlabSize];
-    s.owned_slabs.emplace_back(slab);
-    s.slabs[id / PatternStore::kSlabSize].store(slab, std::memory_order_release);
-  }
-  PatternEntry& e = slab[id % PatternStore::kSlabSize];
+  PatternEntry& e = s.entries.Claim(id);
   e.key.reserve(pattern.size() + 2);
   e.key = domain;
   e.key += ':';
   e.key += pattern;
   e.hash = hash;
   e.regex = regex;
-  size_t i = hash & idx->mask;
-  while (idx->slots[i].load(std::memory_order_relaxed) != 0) {
-    i = (i + 1) & idx->mask;
-  }
   // Publish: count first (so Size() never exceeds constructed entries seen
-  // through the index), then the slot's release store hands the entry to
+  // through the index), then Insert's release store hands the entry to
   // lock-free readers.
   s.count.store(id + 1, std::memory_order_release);
-  idx->slots[i].store(id + 1, std::memory_order_release);
+  s.index.Insert(id, hash, [&s](uint32_t old) { return s.entries.At(old).hash; });
 }
 
 }  // namespace

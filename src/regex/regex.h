@@ -35,9 +35,9 @@ namespace sash::regex {
 //
 // Concurrency: lookups are lock-free. Entries live in append-only slabs and
 // are reached through an open-addressed index published via release stores
-// (the same idiom as the string interner), so parallel batch workers — whose
-// pattern working sets converge after the first few scripts — hit the cache
-// without ever touching a mutex. Only a genuine insertion takes the writer
+// (util/append_table.h, shared with the string interner), so parallel batch
+// workers — whose pattern working sets converge after the first few
+// scripts — hit the cache without ever touching a mutex. Only a genuine insertion takes the writer
 // lock (the "regex.pattern_cache" probe site), and insertion is rare by
 // construction: it happens once per distinct pattern per process, right
 // after an expensive parse.

@@ -687,7 +687,7 @@ void Server::DispatchRequest(uint64_t conn_id, std::string payload) {
     }
   }
 
-  response = Execute(*request, token.get(), &timed_out);
+  response = Execute(*request, budget_ms, token.get(), &timed_out);
   response.id = request->id;
   response.micros = watch.ElapsedMicros();
 
@@ -701,8 +701,8 @@ void Server::DispatchRequest(uint64_t conn_id, std::string payload) {
   PostCompletion({conn_id, EncodeFrame(FrameType::kResponse, response.ToJson()), timed_out});
 }
 
-RpcResponse Server::Execute(const RpcRequest& request, util::CancelToken* budget,
-                            bool* timed_out) {
+RpcResponse Server::Execute(const RpcRequest& request, int64_t budget_ms,
+                            util::CancelToken* budget, bool* timed_out) {
   RpcResponse response;
   if (request.op == "ping") {
     response.status = kStatusOk;
@@ -777,15 +777,9 @@ RpcResponse Server::Execute(const RpcRequest& request, util::CancelToken* budget
     if (opt.isolate) {
       // Crash containment: the analysis runs in a forked, rlimit-capped
       // worker. The shared budget token cannot cross the fork, so the
-      // request's effective budget is re-derived into opt.deadline_ms (the
-      // worker enforces it in-process) and the parent-side wall watchdog
-      // rides 5s above it.
-      int64_t budget_ms =
-          request.budget_ms > 0 ? request.budget_ms : options_.default_budget_ms;
-      if (options_.deadline_cap_ms > 0) {
-        budget_ms = budget_ms > 0 ? std::min(budget_ms, options_.deadline_cap_ms)
-                                  : options_.deadline_cap_ms;
-      }
+      // request's effective budget goes into opt.deadline_ms (the worker
+      // enforces it in-process) and the parent-side wall watchdog rides 5s
+      // above it.
       if (budget_ms > 0) {
         opt.deadline_ms = budget_ms;
       }

@@ -33,11 +33,11 @@
 //                 the whole request path testable under the seeded harness.
 //
 // Concurrency model: one event-loop thread owns every fd (poll-based,
-// nonblocking); complete frames are dispatched to the existing work-stealing
-// thread pool; finished responses come back to the loop over a completion
-// queue + wake pipe and are written by the loop. One request in flight per
-// connection (request-response protocol); concurrency comes from many
-// connections sharing the pool.
+// nonblocking); complete frames are dispatched to the existing FIFO thread
+// pool, oldest request first; finished responses come back to the loop over
+// a completion queue + wake pipe and are written by the loop. One request in
+// flight per connection (request-response protocol); concurrency comes from
+// many connections sharing the pool.
 #ifndef SASH_SERVE_SERVER_H_
 #define SASH_SERVE_SERVER_H_
 
@@ -157,7 +157,10 @@ class Server {
   void ReadFrom(Connection* conn);
   void HandleFrame(Connection* conn, std::string payload);
   void DispatchRequest(uint64_t conn_id, std::string payload);
-  RpcResponse Execute(const RpcRequest& request, util::CancelToken* budget, bool* timed_out);
+  // `budget_ms` is the request's effective budget (0 = none), already armed
+  // on `budget`; an isolated analysis re-arms it inside its worker.
+  RpcResponse Execute(const RpcRequest& request, int64_t budget_ms, util::CancelToken* budget,
+                      bool* timed_out);
   void PostCompletion(Completion completion);
   void DrainCompletions();
   void FlushWrites(Connection* conn);

@@ -8,42 +8,15 @@
 
 namespace sash::specs {
 
-SpecLibrary::SpecLibrary(SpecLibrary&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.register_mu_);
-  specs_ = std::move(other.specs_);
-  snapshots_ = std::move(other.snapshots_);
-  index_.store(other.index_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  other.index_.store(nullptr, std::memory_order_relaxed);
-}
-
-SpecLibrary& SpecLibrary::operator=(SpecLibrary&& other) noexcept {
-  if (this != &other) {
-    std::scoped_lock lock(register_mu_, other.register_mu_);
-    specs_ = std::move(other.specs_);
-    snapshots_ = std::move(other.snapshots_);
-    index_.store(other.index_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    other.index_.store(nullptr, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
 void SpecLibrary::Register(CommandSpec spec) {
   util::Symbol sym = util::Symbol::Intern(spec.command());
-  std::lock_guard<std::mutex> lock(register_mu_);
-  const Index* current = index_.load(std::memory_order_relaxed);
-  if (current != nullptr && current->count(sym) > 0) {
+  if (index_.count(sym) > 0) {
     std::fprintf(stderr, "specs: duplicate registration of command '%s'\n",
                  spec.command().c_str());
     std::abort();
   }
   specs_.push_back(std::move(spec));
-  // Copy-on-write snapshot swap: concurrent readers keep probing the old
-  // index (retired below, freed with the library) until the release store
-  // hands them the successor — which includes the fully built new entry.
-  auto next = current != nullptr ? std::make_unique<Index>(*current) : std::make_unique<Index>();
-  next->emplace(sym, &specs_.back());
-  index_.store(next.get(), std::memory_order_release);
-  snapshots_.push_back(std::move(next));
+  index_.emplace(sym, &specs_.back());
 }
 
 std::vector<std::string> SpecLibrary::CommandNames() const {

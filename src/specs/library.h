@@ -4,21 +4,13 @@
 // (sash::mining) produces specs of the same shape and is validated against
 // these.
 //
-// Concurrency: lookups are wait-free. The symbol index is an immutable
-// snapshot published through an atomic pointer; Register copies the current
-// snapshot, inserts, and release-publishes the successor, retiring (not
-// freeing) the outgrown one so readers still probing it stay safe. That
-// makes concurrent Register/Find well-defined — a batch pool can keep
-// dispatching on the library while mined specs stream in — at a cost paid
-// only by the rare writer (specs are registered once each, reads happen per
-// command per script).
+// Concurrency: a library is built on one thread (Register) and only read
+// once it is shared, so Find needs no lock: concurrent readers of a const
+// library are safe like readers of any const standard container.
 #ifndef SASH_SPECS_LIBRARY_H_
 #define SASH_SPECS_LIBRARY_H_
 
-#include <atomic>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,31 +23,25 @@ namespace sash::specs {
 class SpecLibrary {
  public:
   SpecLibrary() = default;
-  // Moves transfer the spec store and the published snapshot. They are not
-  // concurrency-safe (nothing may be reading or registering mid-move) —
-  // moves happen while a library is being built, before it is shared.
-  SpecLibrary(SpecLibrary&& other) noexcept;
-  SpecLibrary& operator=(SpecLibrary&& other) noexcept;
+  // Moving a deque moves its storage, so the index's spec pointers stay
+  // valid in the moved-to library.
+  SpecLibrary(SpecLibrary&&) = default;
+  SpecLibrary& operator=(SpecLibrary&&) = default;
   SpecLibrary(const SpecLibrary&) = delete;
   SpecLibrary& operator=(const SpecLibrary&) = delete;
 
   // Registering the same command twice aborts (always, not just in debug
   // builds): a duplicate used to silently shadow the earlier spec, which is
-  // a corpus bug that must not pass unnoticed. Thread-safe, including
-  // against concurrent Find.
+  // a corpus bug that must not pass unnoticed. Only while building the
+  // library: not safe against concurrent Find.
   void Register(CommandSpec spec);
 
-  // Dispatch is one hash probe on the interned command name, against the
-  // current index snapshot — no lock, no reference count. The string
+  // Dispatch is one hash probe on the interned command name. The string
   // overload uses a non-inserting symbol lookup, so probing arbitrary
   // runtime command names never grows the interner.
   const CommandSpec* Find(util::Symbol command) const {
-    const Index* idx = index_.load(std::memory_order_acquire);
-    if (idx == nullptr) {
-      return nullptr;
-    }
-    auto it = idx->find(command);
-    return it == idx->end() ? nullptr : it->second;
+    auto it = index_.find(command);
+    return it == index_.end() ? nullptr : it->second;
   }
   const CommandSpec* Find(const std::string& command) const {
     auto sym = util::Symbol::Find(command);
@@ -63,10 +49,7 @@ class SpecLibrary {
   }
   bool Has(const std::string& command) const { return Find(command) != nullptr; }
   std::vector<std::string> CommandNames() const;  // Sorted.
-  size_t size() const {
-    const Index* idx = index_.load(std::memory_order_acquire);
-    return idx == nullptr ? 0 : idx->size();
-  }
+  size_t size() const { return index_.size(); }
 
   // The hand-written ground truth for the built-in command set: rm, rmdir,
   // mkdir, touch, cat, cp, mv, ls, realpath, echo, grep, sed, cut, sort,
@@ -75,16 +58,8 @@ class SpecLibrary {
   static const SpecLibrary& BuiltinGroundTruth();
 
  private:
-  using Index = std::unordered_map<util::Symbol, const CommandSpec*>;
-
   std::deque<CommandSpec> specs_;  // Deque: Find() pointers stay stable.
-  std::atomic<const Index*> index_{nullptr};  // Live snapshot (owned below).
-  // Every snapshot ever published, the live one last; old ones are retired
-  // rather than freed because a concurrent Find may still be probing them.
-  // Freed with the library (by which point no reader may remain, the same
-  // lifetime contract the spec pointers already impose).
-  std::vector<std::unique_ptr<const Index>> snapshots_;
-  mutable std::mutex register_mu_;  // Serializes Register (and moves).
+  std::unordered_map<util::Symbol, const CommandSpec*> index_;
 };
 
 }  // namespace sash::specs

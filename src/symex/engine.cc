@@ -22,6 +22,13 @@ using syntax::Command;
 using syntax::CommandKind;
 using syntax::ListOp;
 
+// Language of possible $0 values: the paper's §3 path shape.
+constexpr char kScriptPathPattern[] = "/?([^/\\n]*/)*[^/\\n]+";
+// Positional parameters ($1..$3) assumed possibly present.
+constexpr int kPositionalParams = 3;
+// A `for` over more concrete items than this is not unrolled item by item.
+constexpr int kMaxForIterations = 8;
+
 // The "danger language": strings whose pathname expansion targets the root —
 // "/", "//", "/*", "//*", ... (the normalized forms of Fig. 1's rm target).
 const regex::Regex& DangerLanguage() {
@@ -194,9 +201,9 @@ State Evaluator::MakeInitialState() const {
   st.Bind("PWD", st.cwd);
   st.Bind("HOME", SymValue::Concrete("/home/user"));
   st.Bind("PATH", SymValue::Concrete("/usr/local/bin:/usr/bin:/bin"));
-  std::optional<regex::Regex> script = regex::Regex::FromPattern(options_.script_path_pattern);
+  std::optional<regex::Regex> script = regex::Regex::FromPattern(kScriptPathPattern);
   st.Bind("0", script.has_value() ? SymValue::Language(*script) : SymValue::UnknownLine());
-  for (int i = 1; i <= options_.positional_params; ++i) {
+  for (int i = 1; i <= kPositionalParams; ++i) {
     st.BindMaybeUnset(std::to_string(i), SymValue::UnknownLine());
   }
   // Annotated variable constraints (§4 ergonomic annotations).
@@ -550,7 +557,7 @@ std::vector<State> Evaluator::ExecFor(State st, const Command& cmd, int depth) {
   }
   std::vector<State> cur = Only(std::move(st));
   if (all_concrete && cmd.for_cmd.has_in &&
-      static_cast<int>(items.size()) <= options_.max_for_iterations) {
+      static_cast<int>(items.size()) <= kMaxForIterations) {
     for (const Expanded& item : items) {
       std::vector<State> next;
       for (State& s : cur) {

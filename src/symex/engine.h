@@ -36,16 +36,9 @@ struct EngineOptions {
   int max_states = 128;     // Hard cap on live states; extras are merged.
   int loop_unroll = 2;      // Loop iterations explored before widening.
   int max_call_depth = 16;  // Function/substitution nesting budget.
-  int max_for_iterations = 8;
-
-  // Language of possible $0 values; the paper's §3 path shape by default.
-  std::string script_path_pattern = "/?([^/\\n]*/)*[^/\\n]+";
 
   // User annotations: initial variable content constraints (name, pattern).
   std::vector<std::pair<std::string, std::string>> var_patterns;
-
-  // Number of positional parameters assumed possibly-present.
-  int positional_params = 3;
 
   const specs::SpecLibrary* library = nullptr;  // Default: BuiltinGroundTruth.
 

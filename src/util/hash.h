@@ -7,7 +7,7 @@
 //   1. Content stability. Digests hash string *bytes*, never interner ids or
 //      pointers, so the same script produces the same digests in every run
 //      and under any thread interleaving (the batch driver analyzes files on
-//      a work-stealing pool, so intern ids are not reproducible).
+//      a thread pool, so intern ids are not reproducible).
 //   2. Domain separation. Composite digests seed each field with a distinct
 //      tag constant before mixing, so e.g. a concrete value "a" can never
 //      collide structurally with a language whose pattern is "a".

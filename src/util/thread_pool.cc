@@ -1,17 +1,11 @@
 #include "util/thread_pool.h"
 
+#include <mutex>
 #include <string>
 
 #include "util/faultinject.h"
 
 namespace sash::util {
-
-namespace {
-// Which pool (and worker slot) the current thread belongs to, so Submit from
-// inside a task goes to the caller's own deque.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_index = -1;
-}  // namespace
 
 ThreadPool::ThreadPool(int threads, obs::Hooks hooks) : hooks_(hooks) {
   if (threads <= 0) {
@@ -23,10 +17,6 @@ ThreadPool::ThreadPool(int threads, obs::Hooks hooks) : hooks_(hooks) {
   if (hooks_.metrics != nullptr) {
     queue_gauge_ = hooks_.metrics->gauge("pool.queue_depth");
   }
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
@@ -36,7 +26,7 @@ ThreadPool::ThreadPool(int threads, obs::Hooks hooks) : hooks_(hooks) {
 ThreadPool::~ThreadPool() {
   Wait();
   {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+    std::lock_guard<obs::ProfiledMutex> lock(mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
@@ -46,22 +36,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  int target;
-  if (tls_pool == this) {
-    target = tls_index;
-  } else {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
-    target = static_cast<int>(next_++ % workers_.size());
-  }
-  {
-    std::lock_guard<obs::ProfiledMutex> lock(workers_[static_cast<size_t>(target)]->mu);
-    workers_[static_cast<size_t>(target)]->deque.push_back(std::move(task));
-  }
   int64_t depth;
   {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+    std::lock_guard<obs::ProfiledMutex> lock(mu_);
+    queue_.push_back(std::move(task));
     ++pending_;
-    depth = ++queued_;
+    depth = static_cast<int64_t>(queue_.size());
   }
   if (queue_gauge_ != nullptr) {
     queue_gauge_->Set(depth);
@@ -72,60 +52,25 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-bool ThreadPool::TryPopOwn(int index, std::function<void()>* task) {
-  Worker& w = *workers_[static_cast<size_t>(index)];
-  std::lock_guard<obs::ProfiledMutex> lock(w.mu);
-  if (w.deque.empty()) {
-    return false;
-  }
-  *task = std::move(w.deque.back());
-  w.deque.pop_back();
-  return true;
-}
-
-bool ThreadPool::TrySteal(int thief, std::function<void()>* task) {
-  const size_t n = workers_.size();
-  for (size_t k = 1; k < n; ++k) {
-    size_t victim = (static_cast<size_t>(thief) + k) % n;
-    bool stolen = false;
-    {
-      Worker& w = *workers_[victim];
-      std::lock_guard<obs::ProfiledMutex> lock(w.mu);
-      if (!w.deque.empty()) {
-        *task = std::move(w.deque.front());
-        w.deque.pop_front();
-        stolen = true;
-      }
-    }
-    if (stolen) {
-      workers_[static_cast<size_t>(thief)]->steals.fetch_add(1, std::memory_order_relaxed);
-      if (hooks_.journal != nullptr) {
-        hooks_.journal->Emit(obs::EventKind::kSteal, "pool.steal", thief,
-                             static_cast<int64_t>(victim));
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::RunTask(int index, std::function<void()>* task) {
+// Takes the task by value so it (and everything it captured) is destroyed
+// before the caller marks it finished: Wait() may return right after.
+void ThreadPool::RunTask(int index, int64_t depth, std::function<void()> task) {
   if (FaultInjector::enabled()) {
     // Chaos harness: a pool.task rule stalls the worker before it runs
     // the task, simulating a slow/starved core. Results must not change.
     FaultInjector::ApplyDelay(FaultInjector::Check(FaultSite::kPoolTask, "worker"));
   }
   if (hooks_.journal == nullptr && hooks_.tracer == nullptr) {
-    (*task)();
+    task();
     return;
   }
   if (hooks_.journal != nullptr) {
-    hooks_.journal->Emit(obs::EventKind::kTaskStart, "pool.task", index);
+    hooks_.journal->Emit(obs::EventKind::kTaskStart, "pool.task", index, depth);
   }
   obs::StopWatch watch;
   {
     obs::Span span(hooks_.tracer, "task");
-    (*task)();
+    task();
   }
   if (hooks_.journal != nullptr) {
     hooks_.journal->Emit(obs::EventKind::kTaskStop, "pool.task", index, watch.ElapsedMicros());
@@ -133,36 +78,29 @@ void ThreadPool::RunTask(int index, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(int index) {
-  tls_pool = this;
-  tls_index = index;
   if (hooks_.tracer != nullptr) {
     hooks_.tracer->SetThreadName(obs::CurrentThreadId(), "worker-" + std::to_string(index));
   }
   for (;;) {
     std::function<void()> task;
-    if (TryPopOwn(index, &task) || TrySteal(index, &task)) {
-      int64_t depth;
-      {
-        std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
-        depth = --queued_;
+    int64_t depth;
+    {
+      std::unique_lock<obs::ProfiledMutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        return;  // Shut down with nothing left to run.
       }
-      if (queue_gauge_ != nullptr) {
-        queue_gauge_->Set(depth);
-      }
-      RunTask(index, &task);
-      std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
-      if (--pending_ == 0) {
-        done_cv_.notify_all();
-      }
-      continue;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      depth = static_cast<int64_t>(queue_.size());
     }
-    // The queued_ predicate (checked under idle_mu_, which Submit also holds)
-    // closes the missed-wakeup window between the deque probes above and the
-    // wait below.
-    std::unique_lock<obs::ProfiledMutex> lock(idle_mu_);
-    work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
-    if (shutdown_ && queued_ == 0) {
-      return;
+    if (queue_gauge_ != nullptr) {
+      queue_gauge_->Set(depth);
+    }
+    RunTask(index, depth, std::move(task));
+    std::lock_guard<obs::ProfiledMutex> lock(mu_);
+    if (--pending_ == 0) {
+      done_cv_.notify_all();
     }
   }
 }
@@ -170,16 +108,8 @@ void ThreadPool::WorkerLoop(int index) {
 void ThreadPool::Wait() {
   // Workers decrement pending_ only after the task body returns, so
   // pending_ == 0 means "all queued and running work is finished".
-  std::unique_lock<obs::ProfiledMutex> lock(idle_mu_);
+  std::unique_lock<obs::ProfiledMutex> lock(mu_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-int64_t ThreadPool::steals() const {
-  int64_t total = 0;
-  for (const auto& w : workers_) {
-    total += w->steals.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 }  // namespace sash::util

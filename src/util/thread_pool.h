@@ -1,32 +1,27 @@
-// A work-stealing thread pool for the batch analysis driver. Each worker owns
-// a deque: it pushes and pops its own work at the back (LIFO, cache-warm) and
-// steals from other workers at the front (FIFO, oldest first), so large tasks
-// submitted early migrate to idle workers instead of serializing behind one
-// queue. External submissions round-robin across workers.
+// A FIFO thread pool for the batch analysis driver and the resident server.
+// Every task goes through one queue under one mutex, and workers take the
+// oldest task first, so files and requests start in the order they were
+// submitted.
 //
 //   sash::util::ThreadPool pool(8);
 //   for (auto& file : files) pool.Submit([&] { Analyze(file); });
 //   pool.Wait();                                // all submitted work done
 //
-// Submit is callable from pool threads too (a task submitted from a worker
-// lands on that worker's own deque). Wait only returns when every task —
-// including tasks submitted by tasks — has finished.
+// Submit is callable from pool threads too. Wait only returns when every
+// task — including tasks submitted by tasks — has finished.
 //
 // With observability hooks attached the pool reports its own scheduling:
-// worker deque and idle locks are ProfiledMutex sites ("pool.worker",
-// "pool.idle"), each task start/stop, steal, and queue-depth change lands in
-// the event journal, every task runs under a tracer span in its worker's
-// named lane, and the "pool.queue_depth" gauge tracks backlog.
+// the queue lock is a ProfiledMutex site ("pool.queue"), each task
+// start/stop and queue-depth change lands in the event journal, every task
+// runs under a tracer span in its worker's named lane, and the
+// "pool.queue_depth" gauge tracks backlog.
 #ifndef SASH_UTIL_THREAD_POOL_H_
 #define SASH_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,47 +44,24 @@ class ThreadPool {
   // new work may be submitted afterwards.
   void Wait();
 
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  // Total tasks stolen across all workers (scheduler telemetry, for tests
-  // and for the "batch.steals" counter).
-  int64_t steals() const;
+  int size() const { return static_cast<int>(threads_.size()); }
 
  private:
-  // alignas: each worker's mutex + deque head live on their own cache line.
-  // Workers are hammered from two sides (the owner popping, thieves
-  // stealing); when two workers' hot fields share a line, every steal probe
-  // bounces the line between cores and re-serializes what the per-worker
-  // deques exist to keep apart.
-  struct alignas(64) Worker {
-    // All workers share one logical probe site; per-instance stats merge by
-    // name in LockProbes::Snapshot().
-    obs::ProfiledMutex mu{"pool.worker"};
-    std::deque<std::function<void()>> deque;
-    // Tasks this worker stole from others. Atomic so the thief records its
-    // steal without re-taking its own deque lock on the steal path.
-    std::atomic<int64_t> steals{0};
-  };
-
   void WorkerLoop(int index);
-  bool TryPopOwn(int index, std::function<void()>* task);
-  bool TrySteal(int thief, std::function<void()>* task);
-  void RunTask(int index, std::function<void()>* task);
+  void RunTask(int index, int64_t depth, std::function<void()> task);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
   obs::Hooks hooks_;
   obs::Gauge* queue_gauge_ = nullptr;  // Hoisted "pool.queue_depth" handle.
 
-  obs::ProfiledMutex idle_mu_{"pool.idle"};
-  // _any variants because idle_mu_ is a ProfiledMutex, not a std::mutex.
+  obs::ProfiledMutex mu_{"pool.queue"};
+  // _any variants because mu_ is a ProfiledMutex, not a std::mutex.
   std::condition_variable_any work_cv_;  // Signaled on submit and shutdown.
   std::condition_variable_any done_cv_;  // Signaled when pending reaches zero.
-  int64_t pending_ = 0;              // Submitted but not yet finished.
-  int64_t queued_ = 0;               // Submitted but not yet picked up.
+  std::deque<std::function<void()>> queue_;  // Oldest first.
+  int64_t pending_ = 0;                      // Submitted but not yet finished.
   bool shutdown_ = false;
-  unsigned next_ = 0;  // Round-robin cursor for external submissions.
 };
 
 }  // namespace sash::util

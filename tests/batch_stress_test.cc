@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -163,6 +164,31 @@ TEST_F(BatchStressTest, ThreadPoolRunsEveryTaskExactlyOnce) {
   }
   pool.Wait();
   EXPECT_EQ(second.load(), 100);
+}
+
+TEST_F(BatchStressTest, ThreadPoolStartsTasksInSubmissionOrder) {
+  // One worker, held by a latch while tasks 1..N queue up behind it: once
+  // released it must start them oldest first (files and requests are
+  // answered in the order they arrived).
+  util::ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.Submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  constexpr int kTasks = 32;
+  std::vector<int> order;  // Only the single worker appends.
+  for (int i = 1; i <= kTasks; ++i) {
+    pool.Submit([&order, i] { order.push_back(i); });
+  }
+  release.count_down();
+  pool.Wait();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kTasks));
+  for (int i = 1; i <= kTasks; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i - 1)], i);
+  }
 }
 
 TEST_F(BatchStressTest, NestedSubmitFromWorkerCompletes) {

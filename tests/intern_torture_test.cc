@@ -1,4 +1,8 @@
-// Concurrency torture for the sharded lock-free interner. Eight threads
+// Concurrency torture for the lock-free append-only table
+// (util/append_table.h) through both of its users: the sharded string
+// interner and the compiled-pattern cache.
+//
+// Interner: eight threads
 // hammer Intern / Find / str() / hash() over overlapping alphabets — the
 // worst case for the lock-free fast path, because every thread races to be
 // the first inserter of the same strings while others are mid-probe, slabs
@@ -10,7 +14,7 @@
 // disagrees with FNV-1a of the content (a content-hash corruption that would
 // silently poison every state digest downstream). The assertions target each
 // of those directly. Run under the SanitizeThread preset, this is also the
-// TSan workload for the interner.
+// TSan workload for the table.
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -21,11 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include "regex/regex.h"
 #include "util/hash.h"
 #include "util/intern.h"
 
 namespace {
 
+using sash::regex::PatternCache;
+using sash::regex::Regex;
 using sash::util::Fnv1a;
 using sash::util::Interner;
 using sash::util::Symbol;
@@ -168,6 +175,66 @@ TEST(InternTortureTest, ReadersSurviveIndexGrowth) {
   for (std::thread& th : readers) {
     th.join();
   }
+}
+
+// The same growth race on the pattern cache: writers compile thousands of
+// new patterns, pushing one cache generation's index through every rehash
+// up to 8192 slots, while readers keep looking up patterns compiled before
+// the race. Every reader lookup must hit — an entry is never lost from a
+// republished index — and return that pattern's language.
+TEST(PatternCacheTortureTest, ReadersSurviveIndexGrowth) {
+  constexpr int kReaders = 4;
+  constexpr int kWriters = 2;
+  constexpr int kPatterns = 3000;  // Far past the initial 512-slot index.
+
+  std::vector<std::string> early;
+  for (int i = 0; i < 64; ++i) {
+    early.push_back("growth_seed_" + std::to_string(i) + "[a-z]*");
+    ASSERT_TRUE(Regex::FromPattern(early.back()).has_value());
+  }
+  const uint64_t hits_before = PatternCache::Hits();
+  const size_t size_before = PatternCache::Size();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reader_lookups{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&early, &stop, &reader_lookups] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (size_t i = 0; i < early.size(); ++i) {
+          std::optional<Regex> found = Regex::FromPattern(early[i]);
+          reader_lookups.fetch_add(1, std::memory_order_relaxed);
+          ASSERT_TRUE(found.has_value());
+          ASSERT_EQ(found->pattern(), early[i]);
+          ASSERT_TRUE(found->Matches("growth_seed_" + std::to_string(i) + "abc"));
+        }
+      }
+    });
+  }
+
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([w] {
+      for (int i = 0; i < kPatterns; ++i) {
+        std::string pattern = "growth_w" + std::to_string(w) + "_" + std::to_string(i) + "x+";
+        std::optional<Regex> regex = Regex::FromPattern(pattern);
+        ASSERT_TRUE(regex.has_value());
+        ASSERT_EQ(regex->pattern(), pattern);
+      }
+    });
+  }
+  for (std::thread& th : writers) {
+    th.join();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& th : readers) {
+    th.join();
+  }
+  // Writers coin distinct patterns (all misses), so every hit is a reader's.
+  EXPECT_EQ(PatternCache::Hits() - hits_before, reader_lookups.load());
+  EXPECT_EQ(PatternCache::Size(), size_before + static_cast<size_t>(kWriters * kPatterns));
 }
 
 }  // namespace

@@ -29,6 +29,23 @@ TEST(Interp, EchoAndVariables) {
   EXPECT_EQ(r.out, "hello world\n");
 }
 
+TEST(Interp, EchoPrintsDashArgumentsAsGiven) {
+  fs::FileSystem fs;
+  InterpOptions options;
+  options.args = {"-x"};
+  InterpResult r = RunScript(fs, "echo \"$1\"\n", options);
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.out, "-x\n");
+  EXPECT_EQ(r.err, "");
+}
+
+TEST(Interp, EchoLeadingDashNSuppressesTheNewline) {
+  fs::FileSystem fs;
+  EXPECT_EQ(RunScript(fs, "echo -n a\n").out, "a");
+  EXPECT_EQ(RunScript(fs, "echo -n -n a\n").out, "-n a");
+  EXPECT_EQ(RunScript(fs, "echo a -n\n").out, "a -n\n");
+}
+
 TEST(Interp, CommandSubstitutionAndArith) {
   fs::FileSystem fs;
   EXPECT_EQ(RunScript(fs, "echo $(echo nested)\n").out, "nested\n");

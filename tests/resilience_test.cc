@@ -297,6 +297,9 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
             sash::testing::NormalizeJson(cold.files[0].report_json));
   EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
   EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+  // A lookup counts as a hit only when its entry decodes.
+  EXPECT_EQ(registry.counter("cache.hits")->value(), 0);
+  EXPECT_EQ(registry.counter("cache.misses")->value(), 1);
 
   // The recompute overwrote the rotten entry: the next pass is a clean hit.
   BatchResult healed = warm_driver.RunSources(sources);
@@ -329,6 +332,8 @@ TEST_F(ResilienceTest, TruncatedCacheEntryDemotesToMiss) {
   EXPECT_FALSE(warm.files[0].cached);
   EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
   EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+  EXPECT_EQ(registry.counter("cache.hits")->value(), 0);
+  EXPECT_EQ(registry.counter("cache.misses")->value(), 1);
 }
 
 // An injected first-attempt write failure is absorbed by the retry loop: the

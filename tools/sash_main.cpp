@@ -4,7 +4,7 @@
 //
 // Reads from stdin when the script operand is "-". Directory operands expand
 // to their *.sh files, recursively. Multiple operands (or -j > 1) run as a
-// batch over a work-stealing pool, each file consulting the incremental
+// batch over a FIFO thread pool, each file consulting the incremental
 // result cache (default ~/.cache/sash; see README "Batch mode & caching").
 //
 // Exit codes: 0 = analysis clean (or command succeeded), 1 = findings at
